@@ -8,7 +8,9 @@
 /// patched result is cross-checked against a cold run on every workload
 /// (loss fields, chosen cut, and the serialized bytes of the compressed
 /// artifact), and ANY divergence makes the process exit nonzero — failing
-/// tools/bench_smoke.sh on every machine, not just the baseline one.
+/// tools/bench_smoke.sh on every machine. So does a worst-case patched
+/// speedup under 2x (the PATCHSTAT ratio; ~2.4-3.5x at smoke scale on a
+/// 4-vCPU Xeon VM).
 
 #include <algorithm>
 #include <cstdio>
@@ -180,13 +182,13 @@ int Run() {
                 static_cast<unsigned long long>(run.variable_loss));
   }
 
-  // Machine-keyed stat line for tools/bench_smoke.sh: on the baseline
-  // machine the worst per-workload ratio is thresholded at 2x — a patched
-  // re-run that fails to clearly beat the cold DP means the patch path
-  // regressed into re-deriving what the retained tables already hold.
+  // A patched re-run that fails to clearly beat the cold DP on its worst
+  // workload means the patch path regressed into re-deriving what the
+  // retained tables already hold.
+  const double worst = patched_count > 0 ? min_ratio : 0.0;
   std::printf("MACHINEKEY cpu=%s\n", CpuModel().c_str());
-  std::printf("PATCHSTAT metric=patched_vs_full ratio=%.2f\n",
-              patched_count > 0 ? min_ratio : 0.0);
+  std::printf("PATCHSTAT metric=patched_vs_full ratio=%.2f\n", worst);
+  const bool fast_enough = RatioFloorHolds("patched_vs_full", worst, 2.0);
 
   if (diverged) {
     std::printf("FAILED: incremental/full divergence detected\n");
@@ -196,7 +198,7 @@ int Run() {
     std::printf("FAILED: no workload took the patch path\n");
     return 1;
   }
-  return 0;
+  return fast_enough ? 0 : 1;
 }
 
 }  // namespace

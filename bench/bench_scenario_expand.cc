@@ -5,9 +5,9 @@
 /// requests (assignments reconstructed from a locally expanded program, so
 /// both arms evaluate the exact same valuations). The bench exits nonzero
 /// unless the two arms' values are IEEE-754 bitwise identical — the
-/// scenario subsystem's core contract — and prints a machine-keyed
-/// SCENARIOSTAT ratio that tools/bench_smoke.sh thresholds on the machine
-/// BENCH_baseline.json was recorded on.
+/// scenario subsystem's core contract — or unless the program request is
+/// at least 5x faster than the per-scenario RPCs (the SCENARIOSTAT ratio;
+/// ~23-28x at smoke scale on a 4-vCPU Xeon VM).
 
 #include <cstdio>
 #include <cstring>
@@ -149,15 +149,16 @@ int Run() {
               mismatches == 0 ? "ok" : "FAILED",
               static_cast<unsigned long long>(mismatches),
               static_cast<unsigned long long>(total));
+  const double ratio = program_s > 0 ? individual_s / program_s : 0.0;
   std::printf("MACHINEKEY cpu=%s\n", CpuModel().c_str());
   std::printf("SCENARIOSTAT scenarios=%llu ratio=%.1f\n",
-              static_cast<unsigned long long>(total),
-              program_s > 0 ? individual_s / program_s : 0.0);
+              static_cast<unsigned long long>(total), ratio);
+  const bool fast_enough = RatioFloorHolds("scenario fan-out", ratio, 5.0);
 
   ShutdownRequest shutdown;
   client.Shutdown(shutdown);
   server.Wait();
-  return mismatches == 0 ? 0 : 1;
+  return mismatches == 0 && fast_enough ? 0 : 1;
 }
 
 }  // namespace

@@ -162,6 +162,17 @@ inline std::string CpuModel() {
   return "unknown";
 }
 
+/// Checks a same-run ratio (two arms timed in one process) against its
+/// floor. Such a ratio holds on any machine, so the driver enforces it
+/// through its exit code rather than keying it to a recorded CPU. Prints
+/// the verdict and returns false below the floor.
+inline bool RatioFloorHolds(const char* label, double ratio, double floor) {
+  const bool holds = ratio >= floor;
+  std::fprintf(holds ? stdout : stderr, "%s: %s ratio %.2fx (floor %.1fx)\n",
+               holds ? "floor ok" : "FAILED", label, ratio, floor);
+  return holds;
+}
+
 /// Prints a separator + figure/table header.
 inline void PrintHeader(const std::string& title) {
   std::printf("\n==== %s ====\n", title.c_str());

@@ -19,6 +19,31 @@ void SetError(Response& resp, const Status& status) {
   resp.message = status.message();
 }
 
+Status NotLoaded(const std::string& artifact) {
+  return Status::NotFound("artifact '" + artifact + "' not loaded");
+}
+
+Status NoForest(const std::string& artifact, const std::string& forest) {
+  return Status::NotFound("artifact '" + artifact + "' has no forest '" +
+                          forest + "'");
+}
+
+/// The artifact fields Load, Append and Info report.
+void SetShape(Response& resp, const Artifact& artifact) {
+  resp.generation = artifact.generation;
+  resp.poly_count = artifact.polys.count();
+  resp.monomial_count = artifact.polys.SizeM();
+  resp.variable_count = artifact.polys.SizeV();
+}
+
+/// An explicit backend name is validated up front so a typo fails with the
+/// registry's name-listing error before any work is queued; "" keeps the
+/// registry's auto policy, which picks per coalesced batch.
+Status CheckBackend(const std::string& name) {
+  if (name.empty()) return Status::OK();
+  return EvaluationBackendRegistry::Default().Resolve(name).status();
+}
+
 }  // namespace
 
 ProvenanceService::ProvenanceService(const ServiceOptions& options)
@@ -70,48 +95,39 @@ void ProvenanceService::AttachStats(Response& resp) {
   }
 }
 
-Response ProvenanceService::Load(const LoadRequest& req) {
+template <typename Body>
+Response ProvenanceService::Respond(MessageKind kind, Body&& body) {
   Response resp;
-  resp.request_kind = MessageKind::kLoadRequest;
-  if (req.artifact.empty()) {
-    SetError(resp, Status::InvalidArgument("artifact name must be non-empty"));
-    AttachStats(resp);
-    return resp;
-  }
-  auto artifact = store_.Load(req.artifact, req.polys_bytes, req.forests);
-  if (!artifact.ok()) {
-    SetError(resp, artifact.status());
-    AttachStats(resp);
-    return resp;
-  }
-  resp.generation = (*artifact)->generation;
-  resp.poly_count = (*artifact)->polys.count();
-  resp.monomial_count = (*artifact)->polys.SizeM();
-  resp.variable_count = (*artifact)->polys.SizeV();
+  resp.request_kind = kind;
+  Status status = body(resp);
+  if (!status.ok()) SetError(resp, status);
   AttachStats(resp);
   return resp;
 }
 
+Response ProvenanceService::Load(const LoadRequest& req) {
+  return Respond(MessageKind::kLoadRequest, [&](Response& resp) -> Status {
+    if (req.artifact.empty()) {
+      return Status::InvalidArgument("artifact name must be non-empty");
+    }
+    PROVABS_ASSIGN_OR_RETURN(
+        std::shared_ptr<const Artifact> artifact,
+        store_.Load(req.artifact, req.polys_bytes, req.forests));
+    SetShape(resp, *artifact);
+    return Status::OK();
+  });
+}
+
 Response ProvenanceService::Append(const AppendRequest& req) {
-  Response resp;
-  resp.request_kind = MessageKind::kAppendRequest;
-  if (req.artifact.empty()) {
-    SetError(resp, Status::InvalidArgument("artifact name must be non-empty"));
-    AttachStats(resp);
-    return resp;
-  }
-  auto artifact = store_.Append(req.artifact, req.polys_bytes);
-  if (!artifact.ok()) {
-    SetError(resp, artifact.status());
-    AttachStats(resp);
-    return resp;
-  }
-  resp.generation = (*artifact)->generation;
-  resp.poly_count = (*artifact)->polys.count();
-  resp.monomial_count = (*artifact)->polys.SizeM();
-  resp.variable_count = (*artifact)->polys.SizeV();
-  AttachStats(resp);
-  return resp;
+  return Respond(MessageKind::kAppendRequest, [&](Response& resp) -> Status {
+    if (req.artifact.empty()) {
+      return Status::InvalidArgument("artifact name must be non-empty");
+    }
+    PROVABS_ASSIGN_OR_RETURN(std::shared_ptr<const Artifact> artifact,
+                             store_.Append(req.artifact, req.polys_bytes));
+    SetShape(resp, *artifact);
+    return Status::OK();
+  });
 }
 
 StatusOr<ArtifactStore::CompressedResult>
@@ -175,23 +191,15 @@ ProvenanceService::ComputeCompression(
   return computed;
 }
 
-std::shared_ptr<const ArtifactStore::CompressedResult>
+StatusOr<std::shared_ptr<const ArtifactStore::CompressedResult>>
 ProvenanceService::CompressInternal(
     const std::shared_ptr<const Artifact>& artifact,
     const std::string& artifact_name, const std::string& forest_name,
     const std::string& algo, uint64_t bound, Response& resp) {
   const AbstractionForest* forest = artifact->FindForest(forest_name);
-  if (forest == nullptr) {
-    SetError(resp, Status::NotFound("artifact '" + artifact_name +
-                                    "' has no forest '" + forest_name + "'"));
-    return nullptr;
-  }
-  StatusOr<const Compressor*> compressor =
-      CompressorRegistry::Default().Resolve(algo);
-  if (!compressor.ok()) {
-    SetError(resp, compressor.status());
-    return nullptr;
-  }
+  if (forest == nullptr) return NoForest(artifact_name, forest_name);
+  PROVABS_ASSIGN_OR_RETURN(const Compressor* compressor,
+                           CompressorRegistry::Default().Resolve(algo));
 
   ArtifactStore::ResultKey key{artifact_name, artifact->generation,
                                forest_name, bound, algo};
@@ -204,381 +212,276 @@ ProvenanceService::CompressInternal(
       store_.GetOrCompute(
           key,
           [&]() -> StatusOr<ArtifactStore::CompressedResult> {
-            return ComputeCompression(artifact, *forest, **compressor, key);
+            return ComputeCompression(artifact, *forest, *compressor, key);
           },
           &info);
   resp.cache_hit = info.cache_hit;
   resp.dedup_hit = info.dedup_hit;
-  if (!cached.ok()) {
-    SetError(resp, cached.status());
-    return nullptr;
-  }
+  if (!cached.ok()) return cached.status();
   resp.delta_patched = (*cached)->delta_patched && !resp.cache_hit;
   resp.monomial_loss = (*cached)->loss.monomial_loss;
   resp.variable_loss = (*cached)->loss.variable_loss;
   resp.adequate = (*cached)->adequate;
   resp.vvs = (*cached)->vvs_names;
   resp.compressed_monomials = (*cached)->compressed.SizeM();
-  return *cached;
+  return cached;
+}
+
+template <typename Request>
+StatusOr<std::shared_ptr<const PolynomialSet>>
+ProvenanceService::ResolveTarget(
+    const std::shared_ptr<const Artifact>& artifact, const Request& req,
+    Response& resp) {
+  if (!req.compressed) {
+    return std::shared_ptr<const PolynomialSet>(artifact, &artifact->polys);
+  }
+  PROVABS_ASSIGN_OR_RETURN(
+      std::shared_ptr<const ArtifactStore::CompressedResult> result,
+      CompressInternal(artifact, req.artifact, req.forest, req.algo,
+                       req.bound, resp));
+  return std::shared_ptr<const PolynomialSet>(result, &result->compressed);
 }
 
 Response ProvenanceService::Compress(const CompressRequest& req) {
-  Response resp;
-  resp.request_kind = MessageKind::kCompressRequest;
-  std::shared_ptr<const Artifact> artifact = store_.Get(req.artifact);
-  if (artifact == nullptr) {
-    SetError(resp,
-             Status::NotFound("artifact '" + req.artifact + "' not loaded"));
-  } else {
-    CompressInternal(artifact, req.artifact, req.forest, req.algo, req.bound,
-                     resp);
-  }
-  AttachStats(resp);
-  return resp;
+  return Respond(MessageKind::kCompressRequest, [&](Response& resp) {
+    std::shared_ptr<const Artifact> artifact = store_.Get(req.artifact);
+    if (artifact == nullptr) return NotLoaded(req.artifact);
+    return CompressInternal(artifact, req.artifact, req.forest, req.algo,
+                            req.bound, resp)
+        .status();
+  });
 }
 
 Response ProvenanceService::Evaluate(const EvaluateRequest& req) {
-  Response resp;
-  resp.request_kind = MessageKind::kEvaluateRequest;
-  std::shared_ptr<const Artifact> artifact = store_.Get(req.artifact);
-  if (artifact == nullptr) {
-    SetError(resp,
-             Status::NotFound("artifact '" + req.artifact + "' not loaded"));
-    AttachStats(resp);
-    return resp;
-  }
+  return Respond(MessageKind::kEvaluateRequest, [&](Response& resp) -> Status {
+    std::shared_ptr<const Artifact> artifact = store_.Get(req.artifact);
+    if (artifact == nullptr) return NotLoaded(req.artifact);
+    PROVABS_ASSIGN_OR_RETURN(std::shared_ptr<const PolynomialSet> target,
+                             ResolveTarget(artifact, req, resp));
 
-  // Aliasing shared_ptrs keep the owning object (artifact or cached
-  // result) alive for the duration of the batched evaluation.
-  std::shared_ptr<const PolynomialSet> target;
-  if (req.compressed) {
-    std::shared_ptr<const ArtifactStore::CompressedResult> result =
-        CompressInternal(artifact, req.artifact, req.forest, req.algo,
-                         req.bound, resp);
-    if (result == nullptr) {
-      AttachStats(resp);
-      return resp;
+    // Assignments are validated against the polynomials actually being
+    // evaluated: setting a variable the compression abstracted away would
+    // silently have no effect, and a silently wrong what-if answer is worse
+    // than an error (the offline CLI rejects it the same way, because a
+    // compressed artifact's buffer only carries surviving variables).
+    Valuation val;
+    std::unordered_set<VariableId> present;
+    if (!req.assignments.empty()) present = target->Variables();
+    for (const auto& [name, value] : req.assignments) {
+      VariableId id = artifact->vars->Find(name);
+      if (id == kInvalidVariable || present.count(id) == 0) {
+        return Status::NotFound(
+            req.compressed ? "variable '" + name +
+                                 "' does not occur in the compressed view "
+                                 "(set its surviving meta-variable instead)"
+                           : "unknown variable '" + name + "'");
+      }
+      val.Set(id, value);
     }
-    target = std::shared_ptr<const PolynomialSet>(result,
-                                                  &result->compressed);
-  } else {
-    target =
-        std::shared_ptr<const PolynomialSet>(artifact, &artifact->polys);
-  }
-
-  // Assignments are validated against the polynomials actually being
-  // evaluated: setting a variable the compression abstracted away would
-  // silently have no effect, and a silently wrong what-if answer is worse
-  // than an error (the offline CLI rejects it the same way, because a
-  // compressed artifact's buffer only carries surviving variables).
-  Valuation val;
-  std::unordered_set<VariableId> present;
-  if (!req.assignments.empty()) present = target->Variables();
-  for (const auto& [name, value] : req.assignments) {
-    VariableId id = artifact->vars->Find(name);
-    if (id == kInvalidVariable || present.count(id) == 0) {
-      SetError(resp,
-               Status::NotFound(
-                   req.compressed
-                       ? "variable '" + name +
-                             "' does not occur in the compressed view "
-                             "(set its surviving meta-variable instead)"
-                       : "unknown variable '" + name + "'"));
-      AttachStats(resp);
-      return resp;
-    }
-    val.Set(id, value);
-  }
-
-  // An explicit backend name is validated up front so a typo fails with
-  // the registry's name-listing error before any work is queued; "" keeps
-  // the registry's auto policy, which picks per coalesced batch.
-  if (!req.eval_backend.empty()) {
-    StatusOr<const EvaluationBackend*> backend =
-        EvaluationBackendRegistry::Default().Resolve(req.eval_backend);
-    if (!backend.ok()) {
-      SetError(resp, backend.status());
-      AttachStats(resp);
-      return resp;
-    }
-  }
-  StatusOr<std::vector<double>> values =
-      batcher_.Evaluate(std::move(target), std::move(val), req.eval_backend);
-  if (!values.ok()) {
-    SetError(resp, values.status());
-    AttachStats(resp);
-    return resp;
-  }
-  resp.values = std::move(*values);
-  resp.eval_backend = req.eval_backend;
-  AttachStats(resp);
-  return resp;
+    PROVABS_RETURN_IF_ERROR(CheckBackend(req.eval_backend));
+    PROVABS_ASSIGN_OR_RETURN(
+        resp.values,
+        batcher_.Evaluate(std::move(target), std::move(val),
+                          req.eval_backend));
+    resp.eval_backend = req.eval_backend;
+    return Status::OK();
+  });
 }
 
 Response ProvenanceService::EvaluateScenarioProgram(
     const EvaluateScenarioProgramRequest& req) {
-  Response resp;
-  resp.request_kind = MessageKind::kEvaluateScenarioProgramRequest;
-  std::shared_ptr<const Artifact> artifact = store_.Get(req.artifact);
-  if (artifact == nullptr) {
-    SetError(resp,
-             Status::NotFound("artifact '" + req.artifact + "' not loaded"));
-    AttachStats(resp);
-    return resp;
-  }
-  if (req.shape == ScenarioShape::kTopK && req.top_k == 0) {
-    SetError(resp, Status::InvalidArgument(
-                       "top_k must be at least 1 for the top-k shape"));
-    AttachStats(resp);
-    return resp;
-  }
-  if (!req.eval_backend.empty()) {
-    StatusOr<const EvaluationBackend*> backend =
-        EvaluationBackendRegistry::Default().Resolve(req.eval_backend);
-    if (!backend.ok()) {
-      SetError(resp, backend.status());
-      AttachStats(resp);
-      return resp;
+  return Respond(MessageKind::kEvaluateScenarioProgramRequest,
+                 [&](Response& resp) -> Status {
+    std::shared_ptr<const Artifact> artifact = store_.Get(req.artifact);
+    if (artifact == nullptr) return NotLoaded(req.artifact);
+    if (req.shape == ScenarioShape::kTopK && req.top_k == 0) {
+      return Status::InvalidArgument(
+          "top_k must be at least 1 for the top-k shape");
     }
-  }
+    PROVABS_RETURN_IF_ERROR(CheckBackend(req.eval_backend));
+    PROVABS_ASSIGN_OR_RETURN(std::shared_ptr<const PolynomialSet> target,
+                             ResolveTarget(artifact, req, resp));
 
-  // Resolve the target view exactly like Evaluate: plain polynomials, or
-  // the (single-flight, cached) compressed result.
-  std::shared_ptr<const PolynomialSet> target;
-  if (req.compressed) {
-    std::shared_ptr<const ArtifactStore::CompressedResult> result =
-        CompressInternal(artifact, req.artifact, req.forest, req.algo,
-                         req.bound, resp);
-    if (result == nullptr) {
-      AttachStats(resp);
-      return resp;
+    ArtifactStore::ProgramKey key;
+    key.artifact = req.artifact;
+    key.generation = artifact->generation;
+    key.compressed = req.compressed;
+    if (req.compressed) {
+      key.forest = req.forest;
+      key.bound = req.bound;
+      key.algo = req.algo;
     }
-    target = std::shared_ptr<const PolynomialSet>(result,
-                                                  &result->compressed);
-  } else {
-    target =
-        std::shared_ptr<const PolynomialSet>(artifact, &artifact->polys);
-  }
+    key.source_hash = ArtifactStore::HashProgramSource(req.program);
+    std::shared_ptr<const scenario::ScenarioProgram> program =
+        store_.LookupProgram(key);
+    resp.program_cache_hit = program != nullptr;
+    if (program == nullptr) {
+      PROVABS_ASSIGN_OR_RETURN(
+          scenario::ScenarioProgram compiled_program,
+          scenario::ScenarioProgram::Compile(req.program, target->Compiled(),
+                                             *artifact->vars));
+      program = store_.InsertProgram(key, std::move(compiled_program));
+    }
+    const uint64_t total = program->scenario_count();
+    if (total > max_scenarios_per_request_) {
+      return Status::InvalidArgument(
+          "scenario program expands to " + std::to_string(total) +
+          " scenarios, over the server limit of " +
+          std::to_string(max_scenarios_per_request_));
+    }
+    resp.scenario_count = total;
 
-  ArtifactStore::ProgramKey key;
-  key.artifact = req.artifact;
-  key.generation = artifact->generation;
-  key.compressed = req.compressed;
-  if (req.compressed) {
-    key.forest = req.forest;
-    key.bound = req.bound;
-    key.algo = req.algo;
-  }
-  key.source_hash = ArtifactStore::HashProgramSource(req.program);
-  std::shared_ptr<const scenario::ScenarioProgram> program =
-      store_.LookupProgram(key);
-  resp.program_cache_hit = program != nullptr;
-  if (program == nullptr) {
-    StatusOr<scenario::ScenarioProgram> compiled_program =
-        scenario::ScenarioProgram::Compile(req.program, target->Compiled(),
-                                           *artifact->vars);
-    if (!compiled_program.ok()) {
-      SetError(resp, compiled_program.status());
-      AttachStats(resp);
-      return resp;
-    }
-    program = store_.InsertProgram(key, std::move(*compiled_program));
-  }
-  const uint64_t total = program->scenario_count();
-  if (total > max_scenarios_per_request_) {
-    SetError(resp,
-             Status::InvalidArgument(
-                 "scenario program expands to " + std::to_string(total) +
-                 " scenarios, over the server limit of " +
-                 std::to_string(max_scenarios_per_request_)));
-    AttachStats(resp);
-    return resp;
-  }
-  resp.scenario_count = total;
+    // Evaluation runs against the compiled snapshot the program was
+    // analyzed with (program->compiled(), not target->Compiled()): a cached
+    // program whose compressed result was evicted and recomputed since
+    // keeps its own snapshot alive, and its materialized valuations carry
+    // that snapshot's fingerprint. Both snapshots evaluate to identical
+    // values — the compression key is identical and the DP is deterministic
+    // — so this is purely a lifetime/fingerprint concern, never a semantic
+    // one.
+    const std::shared_ptr<const CompiledPolynomialSet>& compiled =
+        program->compiled();
 
-  // Evaluation runs against the compiled snapshot the program was analyzed
-  // with (program->compiled(), not target->Compiled()): a cached program
-  // whose compressed result was evicted and recomputed since keeps its own
-  // snapshot alive, and its materialized valuations carry that snapshot's
-  // fingerprint. Both snapshots evaluate to identical values — the
-  // compression key is identical and the DP is deterministic — so this is
-  // purely a lifetime/fingerprint concern, never a semantic one.
-  const std::shared_ptr<const CompiledPolynomialSet>& compiled =
-      program->compiled();
-
-  // Shaped responses keep the current best `keep` scenarios (values
-  // included) while streaming chunks, ordered by objective with ties
-  // broken toward the earlier expansion index so every backend and chunk
-  // size selects the same scenarios.
-  struct Pick {
-    uint64_t index;
-    double objective;
-    std::vector<double> values;
-  };
-  const bool shaped = req.shape != ScenarioShape::kValues;
-  const uint64_t keep = req.shape == ScenarioShape::kTopK ? req.top_k : 1;
-  auto better = [&req](const Pick& a, const Pick& b) {
-    if (a.objective != b.objective) {
-      return req.shape == ScenarioShape::kArgmin
-                 ? a.objective < b.objective
-                 : a.objective > b.objective;
-    }
-    return a.index < b.index;
-  };
-  std::vector<Pick> picks;
-  if (!shaped) {
-    // A values-shaped response carries total * poly_count doubles (8 bytes
-    // each on the wire). Refuse up front when that cannot fit in one
-    // response frame — computing a gigabyte of valuations only to die in
-    // WriteFrame would waste the work and kill the connection.
-    const uint64_t value_bytes =
-        total * static_cast<uint64_t>(compiled->poly_count()) * 8;
-    constexpr uint64_t kEnvelopeSlack = 4096;  // header, stats, varints
-    if (value_bytes > max_response_bytes_ ||
-        value_bytes + kEnvelopeSlack > max_response_bytes_) {
-      SetError(resp,
-               Status::OutOfRange(
-                   "values-shaped response would be about " +
-                   std::to_string(value_bytes) + " bytes, over the " +
-                   std::to_string(max_response_bytes_) +
-                   "-byte response limit; use --shape top-k to request "
-                   "only the best scenarios"));
-      AttachStats(resp);
-      return resp;
-    }
-    resp.values.reserve(static_cast<size_t>(total) * compiled->poly_count());
-  }
-
-  for (uint64_t begin = 0; begin < total; begin += scenario_chunk_) {
-    const uint64_t end = std::min(total, begin + scenario_chunk_);
-    std::vector<DenseValuation> chunk;
-    Status expand = program->ExpandChunk(begin, end, &chunk);
-    if (!expand.ok()) {
-      SetError(resp, expand);
-      AttachStats(resp);
-      return resp;
-    }
-    StatusOr<std::vector<std::vector<double>>> values = batcher_.EvaluateDense(
-        target, compiled, std::move(chunk), req.eval_backend);
-    if (!values.ok()) {
-      SetError(resp, values.status());
-      AttachStats(resp);
-      return resp;
-    }
-    if (!shaped) {
-      for (const std::vector<double>& v : *values) {
-        resp.values.insert(resp.values.end(), v.begin(), v.end());
+    // Shaped responses keep the current best `keep` scenarios (values
+    // included) while streaming chunks, ordered by objective with ties
+    // broken toward the earlier expansion index so every backend and chunk
+    // size selects the same scenarios.
+    struct Pick {
+      uint64_t index;
+      double objective;
+      std::vector<double> values;
+    };
+    const bool shaped = req.shape != ScenarioShape::kValues;
+    const uint64_t keep = req.shape == ScenarioShape::kTopK ? req.top_k : 1;
+    auto better = [&req](const Pick& a, const Pick& b) {
+      if (a.objective != b.objective) {
+        return req.shape == ScenarioShape::kArgmin
+                   ? a.objective < b.objective
+                   : a.objective > b.objective;
       }
-      continue;
+      return a.index < b.index;
+    };
+    std::vector<Pick> picks;
+    if (!shaped) {
+      // A values-shaped response carries total * poly_count doubles (8
+      // bytes each on the wire). Refuse up front when that cannot fit in
+      // one response frame — computing a gigabyte of valuations only to die
+      // in WriteFrame would waste the work and kill the connection.
+      const uint64_t value_bytes =
+          total * static_cast<uint64_t>(compiled->poly_count()) * 8;
+      constexpr uint64_t kEnvelopeSlack = 4096;  // header, stats, varints
+      if (value_bytes > max_response_bytes_ ||
+          value_bytes + kEnvelopeSlack > max_response_bytes_) {
+        return Status::OutOfRange(
+            "values-shaped response would be about " +
+            std::to_string(value_bytes) + " bytes, over the " +
+            std::to_string(max_response_bytes_) +
+            "-byte response limit; use --shape top-k to request only the "
+            "best scenarios");
+      }
+      resp.values.reserve(static_cast<size_t>(total) *
+                          compiled->poly_count());
     }
-    for (size_t i = 0; i < values->size(); ++i) {
-      // The objective folds polynomial values left to right, matching the
-      // order clients would sum a kValues response in.
-      double objective = 0.0;
-      for (double v : (*values)[i]) objective += v;
-      picks.push_back(Pick{begin + i, objective, std::move((*values)[i])});
+
+    for (uint64_t begin = 0; begin < total; begin += scenario_chunk_) {
+      const uint64_t end = std::min(total, begin + scenario_chunk_);
+      std::vector<DenseValuation> chunk;
+      PROVABS_RETURN_IF_ERROR(program->ExpandChunk(begin, end, &chunk));
+      PROVABS_ASSIGN_OR_RETURN(
+          std::vector<std::vector<double>> values,
+          batcher_.EvaluateDense(target, compiled, std::move(chunk),
+                                 req.eval_backend));
+      if (!shaped) {
+        for (const std::vector<double>& v : values) {
+          resp.values.insert(resp.values.end(), v.begin(), v.end());
+        }
+        continue;
+      }
+      for (size_t i = 0; i < values.size(); ++i) {
+        // The objective folds polynomial values left to right, matching
+        // the order clients would sum a kValues response in.
+        double objective = 0.0;
+        for (double v : values[i]) objective += v;
+        picks.push_back(Pick{begin + i, objective, std::move(values[i])});
+      }
+      if (picks.size() > keep) {
+        std::sort(picks.begin(), picks.end(), better);
+        picks.resize(static_cast<size_t>(keep));
+      }
     }
-    if (picks.size() > keep) {
+    if (shaped) {
       std::sort(picks.begin(), picks.end(), better);
-      picks.resize(static_cast<size_t>(keep));
+      for (Pick& pick : picks) {
+        resp.scenario_indices.push_back(pick.index);
+        resp.objectives.push_back(pick.objective);
+        resp.values.insert(resp.values.end(), pick.values.begin(),
+                           pick.values.end());
+      }
     }
-  }
-  if (shaped) {
-    std::sort(picks.begin(), picks.end(), better);
-    for (Pick& pick : picks) {
-      resp.scenario_indices.push_back(pick.index);
-      resp.objectives.push_back(pick.objective);
-      resp.values.insert(resp.values.end(), pick.values.begin(),
-                         pick.values.end());
-    }
-  }
-  resp.eval_backend = req.eval_backend;
-  AttachStats(resp);
-  return resp;
+    resp.eval_backend = req.eval_backend;
+    return Status::OK();
+  });
 }
 
 Response ProvenanceService::Info(const InfoRequest& req) {
-  Response resp;
-  resp.request_kind = MessageKind::kInfoRequest;
-  if (!req.artifact.empty()) {
+  return Respond(MessageKind::kInfoRequest, [&](Response& resp) {
+    if (req.artifact.empty()) return Status::OK();
     std::shared_ptr<const Artifact> artifact = store_.Get(req.artifact);
-    if (artifact == nullptr) {
-      SetError(resp,
-               Status::NotFound("artifact '" + req.artifact + "' not loaded"));
-      AttachStats(resp);
-      return resp;
-    }
-    resp.generation = artifact->generation;
-    resp.poly_count = artifact->polys.count();
-    resp.monomial_count = artifact->polys.SizeM();
-    resp.variable_count = artifact->polys.SizeV();
-  }
-  AttachStats(resp);
-  return resp;
+    if (artifact == nullptr) return NotLoaded(req.artifact);
+    SetShape(resp, *artifact);
+    return Status::OK();
+  });
 }
 
 Response ProvenanceService::Tradeoff(const TradeoffRequest& req) {
-  Response resp;
-  resp.request_kind = MessageKind::kTradeoffRequest;
-  std::shared_ptr<const Artifact> artifact = store_.Get(req.artifact);
-  if (artifact == nullptr) {
-    SetError(resp,
-             Status::NotFound("artifact '" + req.artifact + "' not loaded"));
-    AttachStats(resp);
-    return resp;
-  }
-  const AbstractionForest* forest = artifact->FindForest(req.forest);
-  if (forest == nullptr) {
-    SetError(resp, Status::NotFound("artifact '" + req.artifact +
-                                    "' has no forest '" + req.forest + "'"));
-    AttachStats(resp);
-    return resp;
-  }
-  auto curve = OptimalTradeoffCurve(artifact->polys, *forest, 0);
-  if (!curve.ok()) {
-    SetError(resp, curve.status());
-    AttachStats(resp);
-    return resp;
-  }
-  resp.points = std::move(*curve);
-  AttachStats(resp);
-  return resp;
+  return Respond(MessageKind::kTradeoffRequest, [&](Response& resp) -> Status {
+    std::shared_ptr<const Artifact> artifact = store_.Get(req.artifact);
+    if (artifact == nullptr) return NotLoaded(req.artifact);
+    const AbstractionForest* forest = artifact->FindForest(req.forest);
+    if (forest == nullptr) return NoForest(req.artifact, req.forest);
+    PROVABS_ASSIGN_OR_RETURN(
+        resp.points, OptimalTradeoffCurve(artifact->polys, *forest, 0));
+    return Status::OK();
+  });
 }
 
 Response ProvenanceService::ListAlgos(const ListAlgosRequest&) {
-  Response resp;
-  resp.request_kind = MessageKind::kListAlgosRequest;
-  for (const CompressorInfo& info : CompressorRegistry::Default().Infos()) {
-    AlgoCapability a;
-    a.name = info.name;
-    a.summary = info.summary;
-    a.deterministic = info.deterministic;
-    a.supports_tradeoff = info.supports_tradeoff;
-    a.exact = info.exact;
-    a.produces_cut = info.produces_cut;
-    a.supports_time_budget = info.supports_time_budget;
-    resp.algos.push_back(std::move(a));
-  }
-  AttachStats(resp);
-  return resp;
+  return Respond(MessageKind::kListAlgosRequest, [](Response& resp) {
+    for (const CompressorInfo& info : CompressorRegistry::Default().Infos()) {
+      AlgoCapability a;
+      a.name = info.name;
+      a.summary = info.summary;
+      a.deterministic = info.deterministic;
+      a.supports_tradeoff = info.supports_tradeoff;
+      a.exact = info.exact;
+      a.produces_cut = info.produces_cut;
+      a.supports_time_budget = info.supports_time_budget;
+      resp.algos.push_back(std::move(a));
+    }
+    return Status::OK();
+  });
 }
 
 Response ProvenanceService::ListBackends(const ListBackendsRequest&) {
-  Response resp;
-  resp.request_kind = MessageKind::kListBackendsRequest;
-  for (const EvaluationBackendInfo& info :
-       EvaluationBackendRegistry::Default().Infos()) {
-    EvalBackendCapability b;
-    b.name = info.name;
-    b.summary = info.summary;
-    b.vectorized = info.vectorized;
-    b.deterministic = info.deterministic;
-    b.preferred_batch = info.preferred_batch;
-    b.tier = info.tier;
-    resp.backends.push_back(std::move(b));
-  }
-  AttachStats(resp);
-  return resp;
+  return Respond(MessageKind::kListBackendsRequest, [](Response& resp) {
+    for (const EvaluationBackendInfo& info :
+         EvaluationBackendRegistry::Default().Infos()) {
+      EvalBackendCapability b;
+      b.name = info.name;
+      b.summary = info.summary;
+      b.vectorized = info.vectorized;
+      b.deterministic = info.deterministic;
+      b.preferred_batch = info.preferred_batch;
+      b.tier = info.tier;
+      resp.backends.push_back(std::move(b));
+    }
+    return Status::OK();
+  });
+}
+
+Response ProvenanceService::Shutdown(const ShutdownRequest&) {
+  return Respond(MessageKind::kShutdownRequest,
+                 [](Response&) { return Status::OK(); });
 }
 
 std::string ProvenanceService::HandleFrame(std::string_view payload,
@@ -613,102 +516,34 @@ std::string ProvenanceService::HandleFrameImpl(std::string_view payload,
     SetError(resp, kind.status());
     return EncodeResponse(resp);
   }
+  if (*kind == MessageKind::kResponse) {
+    SetError(resp, Status::InvalidArgument(
+                       "a response message is not a valid request"));
+    return EncodeResponse(resp);
+  }
   // On a decode failure the decoder's Status is forwarded to the client —
   // "corrupt element count" vs "buffer truncated" matters when debugging
   // version skew or a mangled frame.
-  Status decode_error = Status::OK();
-  switch (*kind) {
-    case MessageKind::kLoadRequest: {
-      auto req = DecodeLoadRequest(payload);
-      if (!req.ok()) {
-        decode_error = req.status();
-        break;
-      }
-      return EncodeResponse(Load(*req));
+  auto serve = [&](auto decode, auto handler) {
+    auto req = decode(payload);
+    if (req.ok()) {
+      resp = (this->*handler)(*req);
+      return;
     }
-    case MessageKind::kAppendRequest: {
-      auto req = DecodeAppendRequest(payload);
-      if (!req.ok()) {
-        decode_error = req.status();
-        break;
-      }
-      return EncodeResponse(Append(*req));
-    }
-    case MessageKind::kCompressRequest: {
-      auto req = DecodeCompressRequest(payload);
-      if (!req.ok()) {
-        decode_error = req.status();
-        break;
-      }
-      return EncodeResponse(Compress(*req));
-    }
-    case MessageKind::kEvaluateRequest: {
-      auto req = DecodeEvaluateRequest(payload);
-      if (!req.ok()) {
-        decode_error = req.status();
-        break;
-      }
-      return EncodeResponse(Evaluate(*req));
-    }
-    case MessageKind::kEvaluateScenarioProgramRequest: {
-      auto req = DecodeEvaluateScenarioProgramRequest(payload);
-      if (!req.ok()) {
-        decode_error = req.status();
-        break;
-      }
-      return EncodeResponse(EvaluateScenarioProgram(*req));
-    }
-    case MessageKind::kInfoRequest: {
-      auto req = DecodeInfoRequest(payload);
-      if (!req.ok()) {
-        decode_error = req.status();
-        break;
-      }
-      return EncodeResponse(Info(*req));
-    }
-    case MessageKind::kTradeoffRequest: {
-      auto req = DecodeTradeoffRequest(payload);
-      if (!req.ok()) {
-        decode_error = req.status();
-        break;
-      }
-      return EncodeResponse(Tradeoff(*req));
-    }
-    case MessageKind::kListAlgosRequest: {
-      auto req = DecodeListAlgosRequest(payload);
-      if (!req.ok()) {
-        decode_error = req.status();
-        break;
-      }
-      return EncodeResponse(ListAlgos(*req));
-    }
-    case MessageKind::kListBackendsRequest: {
-      auto req = DecodeListBackendsRequest(payload);
-      if (!req.ok()) {
-        decode_error = req.status();
-        break;
-      }
-      return EncodeResponse(ListBackends(*req));
-    }
-    case MessageKind::kShutdownRequest: {
-      auto req = DecodeShutdownRequest(payload);
-      if (!req.ok()) {
-        decode_error = req.status();
-        break;
-      }
-      if (shutdown != nullptr) *shutdown = true;
-      resp.request_kind = MessageKind::kShutdownRequest;
-      AttachStats(resp);
-      return EncodeResponse(resp);
-    }
-    case MessageKind::kResponse:
-      SetError(resp, Status::InvalidArgument(
-                         "a response message is not a valid request"));
-      return EncodeResponse(resp);
+    resp.request_kind = *kind;
+    SetError(resp, Status::InvalidArgument("malformed request payload: " +
+                                           req.status().ToString()));
+  };
+#define PROVABS_SERVE(byte, name)                           \
+  if (*kind == MessageKind::k##name##Request) {             \
+    serve(Decode##name##Request, &ProvenanceService::name); \
   }
-  resp.request_kind = *kind;
-  SetError(resp, Status::InvalidArgument("malformed request payload: " +
-                                         decode_error.ToString()));
+  PROVABS_WIRE_REQUESTS(PROVABS_SERVE)
+#undef PROVABS_SERVE
+  if (shutdown != nullptr && *kind == MessageKind::kShutdownRequest &&
+      resp.ok()) {
+    *shutdown = true;
+  }
   return EncodeResponse(resp);
 }
 

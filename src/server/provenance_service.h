@@ -89,8 +89,16 @@ class ProvenanceService {
   /// HandleFrame's decode/dispatch/encode core, before the response-size
   /// guard is applied.
   std::string HandleFrameImpl(std::string_view payload, bool* shutdown);
+  /// Acknowledges a shutdown request; HandleFrame raises `*shutdown` and
+  /// the transport stops.
+  Response Shutdown(const ShutdownRequest& req);
   /// Fills the stats section of `resp` from store + batcher counters.
   void AttachStats(Response& resp);
+  /// Every handler's single exit: `body(resp)` fills the verb's fields and
+  /// returns the Status carried in code/message, then the stats block is
+  /// attached.
+  template <typename Body>
+  Response Respond(MessageKind kind, Body&& body);
   /// The single compress dispatch shared by Compress and
   /// Evaluate-over-compressed: resolves `algo` through the process-wide
   /// CompressorRegistry (unknown names fail listing the registered set),
@@ -99,13 +107,21 @@ class ProvenanceService {
   /// ArtifactStore::GetOrCompute) — against
   /// the caller's `artifact` snapshot (never re-fetched, so a concurrent
   /// reload cannot swap the VariableTable out from under ids the caller
-  /// already resolved). On success fills the compress section of `resp`
-  /// (including cache_hit/dedup_hit) and returns the result; on failure
-  /// fills code/message and returns nullptr.
-  std::shared_ptr<const ArtifactStore::CompressedResult> CompressInternal(
-      const std::shared_ptr<const Artifact>& artifact,
-      const std::string& artifact_name, const std::string& forest_name,
-      const std::string& algo, uint64_t bound, Response& resp);
+  /// already resolved). Fills the compress section of `resp` (cache_hit and
+  /// dedup_hit even when the run failed).
+  StatusOr<std::shared_ptr<const ArtifactStore::CompressedResult>>
+  CompressInternal(const std::shared_ptr<const Artifact>& artifact,
+                   const std::string& artifact_name,
+                   const std::string& forest_name, const std::string& algo,
+                   uint64_t bound, Response& resp);
+  /// The polynomials an evaluate or scenario request runs on: the
+  /// artifact's own, or with `req.compressed` its compression through
+  /// CompressInternal. The pointer aliases its owner (artifact or cached
+  /// result), keeping it alive for the batched evaluation.
+  template <typename Request>
+  StatusOr<std::shared_ptr<const PolynomialSet>> ResolveTarget(
+      const std::shared_ptr<const Artifact>& artifact, const Request& req,
+      Response& resp);
 
   /// The compute function CompressInternal hands to GetOrCompute: tries
   /// the delta-patch path against cached ancestor generations first (sets

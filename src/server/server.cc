@@ -531,10 +531,12 @@ void Server::WheelAdvance(uint64_t now_ms) {
       if (it == conns_.end()) continue;  // Closed since scheduling: stale.
       Conn& conn = it->second;
       if (conn.idle_deadline_ms > now_ms) {
-        // Activity pushed the deadline out; re-home to its current slot.
-        size_t dest = static_cast<size_t>(
-            (conn.idle_deadline_ms / wheel_tick_ms_) % kWheelBuckets);
-        wheel_[dest].push_back(id);
+        // Activity pushed the deadline out; re-home to its current slot,
+        // but never to the slot being swept now (a deadline later in this
+        // tick), which the wheel would not visit for another revolution.
+        uint64_t due =
+            std::max(conn.idle_deadline_ms / wheel_tick_ms_, cur + 1);
+        wheel_[static_cast<size_t>(due % kWheelBuckets)].push_back(id);
         continue;
       }
       if (conn.in_flight) {

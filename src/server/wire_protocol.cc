@@ -7,6 +7,8 @@
 #include <limits>
 #include <poll.h>
 #include <sys/socket.h>
+#include <tuple>
+#include <type_traits>
 #include <unistd.h>
 
 #include "common/macros.h"
@@ -17,605 +19,400 @@ namespace provabs {
 namespace {
 
 constexpr char kMagic[4] = {'P', 'V', 'A', 'B'};
-constexpr uint8_t kVersion = kWireVersion;
 
-void WriteHeader(ByteWriter& w, MessageKind kind) {
-  w.PutBytes(kMagic, 4);
-  w.PutU8(kVersion);
-  w.PutU8(static_cast<uint8_t>(kind));
+// ---------------------------------------------------------- field lists ----
+//
+// Every message body, written down once in wire order. A member is coded by
+// its type (see Put/Get below); Flags() packs members into one byte, low bit
+// first, where a bool takes one bit and Bits<N>(&member) takes N.
+
+template <typename Member, unsigned kWidth>
+struct BitField {
+  static constexpr unsigned kBits = kWidth;
+  static constexpr unsigned kMask = (1u << kWidth) - 1;
+  Member member;
+};
+template <unsigned kWidth, typename Member>
+constexpr BitField<Member, kWidth> Bits(Member member) {
+  return {member};
+}
+template <typename M>
+constexpr BitField<bool M::*, 1> AsBitField(bool M::*member) {
+  return {member};
+}
+template <typename Member, unsigned kWidth>
+constexpr BitField<Member, kWidth> AsBitField(BitField<Member, kWidth> f) {
+  return f;
 }
 
-Status CheckHeader(ByteReader& r, MessageKind expected_kind) {
+template <typename... BitFields>
+struct FlagByte {
+  std::tuple<BitFields...> fields;
+};
+template <typename... Members>
+constexpr auto Flags(Members... members) {
+  return FlagByte<decltype(AsBitField(members))...>{{AsBitField(members)...}};
+}
+
+constexpr auto Fields(const LoadRequest*) {
+  using M = LoadRequest;
+  return std::make_tuple(&M::artifact, &M::polys_bytes, &M::forests);
+}
+constexpr auto Fields(const CompressRequest*) {
+  using M = CompressRequest;
+  return std::make_tuple(&M::artifact, &M::forest, &M::algo, &M::bound);
+}
+constexpr auto Fields(const EvaluateRequest*) {
+  using M = EvaluateRequest;
+  return std::make_tuple(&M::artifact, &M::assignments, &M::compressed,
+                         &M::forest, &M::algo, &M::bound, &M::eval_backend);
+}
+constexpr auto Fields(const InfoRequest*) {
+  return std::make_tuple(&InfoRequest::artifact);
+}
+constexpr auto Fields(const TradeoffRequest*) {
+  return std::make_tuple(&TradeoffRequest::artifact, &TradeoffRequest::forest);
+}
+constexpr auto Fields(const ShutdownRequest*) { return std::make_tuple(); }
+constexpr auto Fields(const ListAlgosRequest*) { return std::make_tuple(); }
+constexpr auto Fields(const ListBackendsRequest*) { return std::make_tuple(); }
+constexpr auto Fields(const EvaluateScenarioProgramRequest*) {
+  using M = EvaluateScenarioProgramRequest;
+  return std::make_tuple(&M::artifact, &M::program, &M::compressed,
+                         &M::forest, &M::algo, &M::bound, &M::eval_backend,
+                         &M::shape, &M::top_k);
+}
+constexpr auto Fields(const AppendRequest*) {
+  return std::make_tuple(&AppendRequest::artifact, &AppendRequest::polys_bytes);
+}
+
+constexpr auto Fields(const TradeoffPoint*) {
+  return std::make_tuple(&TradeoffPoint::size_m, &TradeoffPoint::variable_loss);
+}
+constexpr auto Fields(const AlgoCapability*) {
+  using M = AlgoCapability;
+  return std::make_tuple(&M::name, &M::summary,
+                         Flags(&M::deterministic, &M::supports_tradeoff,
+                               &M::exact, &M::produces_cut,
+                               &M::supports_time_budget));
+}
+constexpr auto Fields(const EvalBackendCapability*) {
+  using M = EvalBackendCapability;
+  // The tier took spare bits 2-3, so pre-tier peers, which read only bits
+  // 0-1, interoperate without a version bump and decode tier 0.
+  return std::make_tuple(
+      &M::name, &M::summary,
+      Flags(&M::vectorized, &M::deterministic, Bits<2>(&M::tier)),
+      &M::preferred_batch);
+}
+constexpr auto Fields(const ServerStats*) {
+  using M = ServerStats;
+  return std::make_tuple(
+      &M::artifact_count, &M::result_count, &M::cached_bytes,
+      &M::byte_budget, &M::result_hits, &M::result_misses, &M::evictions,
+      &M::eval_batches, &M::eval_requests, &M::dedup_hits,
+      &M::inflight_waiters, &M::eval_groups, &M::eval_backend_calls,
+      &M::program_count, &M::program_hits, &M::program_misses,
+      &M::active_connections, &M::rejected_connections, &M::idle_reaped,
+      &M::loop_wakeups, &M::delta_patched, &M::delta_fallback_full);
+}
+constexpr auto Fields(const Response*) {
+  using M = Response;
+  return std::make_tuple(
+      &M::request_kind, &M::code, &M::message, &M::stats, &M::generation,
+      &M::poly_count, &M::monomial_count, &M::variable_count, &M::cache_hit,
+      &M::dedup_hit, &M::delta_patched, &M::monomial_loss, &M::variable_loss,
+      &M::adequate, &M::vvs, &M::compressed_monomials, &M::values,
+      &M::points, &M::algos, &M::eval_backend, &M::backends,
+      &M::scenario_count, &M::program_cache_hit, &M::scenario_indices,
+      &M::objectives);
+}
+
+/// True for the kind byte of every declared message.
+constexpr bool IsMessageKind(uint8_t byte) {
+#define PROVABS_WIRE_IS_KIND(kind, name) byte == kind ||
+  return PROVABS_WIRE_REQUESTS(PROVABS_WIRE_IS_KIND)
+      byte == static_cast<uint8_t>(MessageKind::kResponse);
+#undef PROVABS_WIRE_IS_KIND
+}
+
+/// The bytes an enum field may hold: the error for any other byte, or
+/// nullptr.
+const char* Reject(MessageKind, uint8_t byte) {
+  return IsMessageKind(byte) ? nullptr : "unknown request kind in response";
+}
+const char* Reject(StatusCode, uint8_t byte) {
+  return byte > static_cast<uint8_t>(StatusCode::kUnavailable)
+             ? "unknown status code in response"
+             : nullptr;
+}
+const char* Reject(ScenarioShape, uint8_t byte) {
+  return byte > static_cast<uint8_t>(ScenarioShape::kTopK)
+             ? "unknown scenario result shape"
+             : nullptr;
+}
+
+// ------------------------------------------------------ generic codec ----
+
+template <typename T>
+struct IsVector : std::false_type {};
+template <typename T>
+struct IsVector<std::vector<T>> : std::true_type {};
+template <typename T>
+struct IsPair : std::false_type {};
+template <typename A, typename B>
+struct IsPair<std::pair<A, B>> : std::true_type {};
+
+template <typename T>
+constexpr size_t MinBytes();
+
+template <typename M, typename F>
+constexpr size_t FieldMinBytes(F M::*) {
+  return MinBytes<F>();
+}
+template <typename... BitFields>
+constexpr size_t FieldMinBytes(const FlagByte<BitFields...>&) {
+  return 1;
+}
+
+/// Fewest bytes one T occupies on the wire, so a decoded element count can
+/// be checked against the bytes left before anything is reserved.
+template <typename T>
+constexpr size_t MinBytes() {
+  if constexpr (std::is_same_v<T, double>) {
+    return 8;
+  } else if constexpr (std::is_same_v<T, std::string> ||
+                       std::is_arithmetic_v<T> || std::is_enum_v<T> ||
+                       IsVector<T>::value) {
+    return 1;  // A byte, a varint, or a length or count prefix.
+  } else if constexpr (IsPair<T>::value) {
+    return MinBytes<typename T::first_type>() +
+           MinBytes<typename T::second_type>();
+  } else {
+    return std::apply(
+        [](auto... field) { return (size_t{0} + ... + FieldMinBytes(field)); },
+        Fields(static_cast<const T*>(nullptr)));
+  }
+}
+
+// The derived minima are the element sizes wire v7 was written against.
+static_assert(MinBytes<std::pair<std::string, std::string>>() == 2 &&
+              MinBytes<std::pair<std::string, double>>() == 9 &&
+              MinBytes<double>() == 8 && MinBytes<TradeoffPoint>() == 2 &&
+              MinBytes<AlgoCapability>() == 3 &&
+              MinBytes<EvalBackendCapability>() == 4 &&
+              MinBytes<uint64_t>() == 1);
+
+/// Same hardening as io/serializer.cc: a parsed element count must be
+/// plausible for the bytes left (every element occupies at least
+/// `min_bytes`), checked BEFORE reserving memory.
+bool CheckCount(uint64_t count, size_t min_bytes, const ByteReader& r,
+                Status& error) {
+  if (count <= r.remaining() / min_bytes + 1) return true;
+  error = Status::InvalidArgument("corrupt element count in message");
+  return false;
+}
+
+template <typename T>
+void Put(ByteWriter& w, const T& value);
+
+template <typename M, typename F>
+void PutField(ByteWriter& w, const M& message, F M::*member) {
+  Put(w, message.*member);
+}
+template <typename M, typename... BitFields>
+void PutField(ByteWriter& w, const M& message,
+              const FlagByte<BitFields...>& flags) {
+  unsigned byte = 0;
+  unsigned shift = 0;
+  std::apply(
+      [&](auto... f) {
+        ((byte |= (static_cast<unsigned>(message.*f.member) & f.kMask)
+                  << shift,
+          shift += f.kBits),
+         ...);
+      },
+      flags.fields);
+  w.PutU8(static_cast<uint8_t>(byte));
+}
+
+/// The one writer: appends `value` as its type's wire coding.
+template <typename T>
+void Put(ByteWriter& w, const T& value) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    w.PutString(value);
+  } else if constexpr (std::is_same_v<T, double>) {
+    w.PutDouble(value);
+  } else if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
+    w.PutU8(static_cast<uint8_t>(value));
+  } else if constexpr (std::is_integral_v<T>) {
+    w.PutVarint(value);
+  } else if constexpr (IsVector<T>::value) {
+    w.PutVarint(value.size());
+    for (const auto& element : value) Put(w, element);
+  } else if constexpr (IsPair<T>::value) {
+    Put(w, value.first);
+    Put(w, value.second);
+  } else {
+    std::apply([&](auto... field) { (PutField(w, value, field), ...); },
+               Fields(&value));
+  }
+}
+
+// The reader returns false and leaves the Status in `error` on the first
+// failure, so a well-formed message builds no Status per field.
+
+template <typename T, typename U>
+bool Assign(StatusOr<U>&& got, T& out, Status& error) {
+  if (!got.ok()) {
+    error = got.status();
+    return false;
+  }
+  out = std::move(*got);
+  return true;
+}
+
+template <typename T>
+bool Get(ByteReader& r, T& out, Status& error);
+
+template <typename M, typename F>
+bool GetField(ByteReader& r, M& message, F M::*member, Status& error) {
+  return Get(r, message.*member, error);
+}
+template <typename M, typename... BitFields>
+bool GetField(ByteReader& r, M& message, const FlagByte<BitFields...>& flags,
+              Status& error) {
+  uint8_t byte = 0;
+  if (!Assign(r.GetU8(), byte, error)) return false;
+  unsigned shift = 0;
+  std::apply(
+      [&](auto... f) {
+        ((message.*f.member =
+              static_cast<std::decay_t<decltype(message.*f.member)>>(
+                  (byte >> shift) & f.kMask),
+          shift += f.kBits),
+         ...);
+      },
+      flags.fields);
+  return true;
+}
+
+/// The one reader: fills `out` from its type's wire coding.
+template <typename T>
+bool Get(ByteReader& r, T& out, Status& error) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return Assign(r.GetString(), out, error);
+  } else if constexpr (std::is_same_v<T, double>) {
+    return Assign(r.GetDouble(), out, error);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return Assign(r.GetU8(), out, error);
+  } else if constexpr (std::is_enum_v<T>) {
+    uint8_t byte = 0;
+    if (!Assign(r.GetU8(), byte, error)) return false;
+    if (const char* unknown = Reject(T{}, byte)) {
+      error = Status::InvalidArgument(unknown);
+      return false;
+    }
+    out = static_cast<T>(byte);
+    return true;
+  } else if constexpr (std::is_integral_v<T>) {
+    return Assign(r.GetVarint(), out, error);
+  } else if constexpr (IsVector<T>::value) {
+    using Element = typename T::value_type;
+    uint64_t count = 0;
+    if (!Assign(r.GetVarint(), count, error) ||
+        !CheckCount(count, MinBytes<Element>(), r, error)) {
+      return false;
+    }
+    out.reserve(count);
+    for (uint64_t i = 0; i < count; ++i) {
+      Element element{};
+      if (!Get(r, element, error)) return false;
+      out.push_back(std::move(element));
+    }
+    return true;
+  } else if constexpr (IsPair<T>::value) {
+    return Get(r, out.first, error) && Get(r, out.second, error);
+  } else {
+    return std::apply(
+        [&](auto... field) { return (GetField(r, out, field, error) && ...); },
+        Fields(&out));
+  }
+}
+
+/// Reads the magic and version bytes and returns the kind byte after them.
+StatusOr<uint8_t> ReadHeader(ByteReader& r) {
   for (char expected : kMagic) {
-    auto byte = r.GetU8();
+    StatusOr<uint8_t> byte = r.GetU8();
     if (!byte.ok()) return byte.status();
     if (static_cast<char>(*byte) != expected) {
       return Status::InvalidArgument("bad magic (not a provabs message)");
     }
   }
-  auto version = r.GetU8();
+  StatusOr<uint8_t> version = r.GetU8();
   if (!version.ok()) return version.status();
-  if (*version != kVersion) {
+  if (*version != kWireVersion) {
     return Status::InvalidArgument("unsupported protocol version");
   }
-  auto kind = r.GetU8();
-  if (!kind.ok()) return kind.status();
-  if (*kind != static_cast<uint8_t>(expected_kind)) {
-    return Status::InvalidArgument("payload holds a different message kind");
-  }
-  return Status::OK();
+  return r.GetU8();
 }
 
-/// Same hardening as io/serializer.cc: a parsed element count must be
-/// plausible for the bytes left (every element occupies at least
-/// `min_bytes`), checked BEFORE reserving memory.
-Status CheckCount(uint64_t count, size_t min_bytes, const ByteReader& r) {
-  if (count > r.remaining() / min_bytes + 1) {
-    return Status::InvalidArgument("corrupt element count in message");
+template <typename Message>
+std::string EncodeMessage(MessageKind kind, const Message& message) {
+  ByteWriter w;
+  w.PutBytes(kMagic, 4);
+  w.PutU8(kWireVersion);
+  w.PutU8(static_cast<uint8_t>(kind));
+  Put(w, message);
+  return std::move(w).Release();
+}
+
+template <typename Message>
+StatusOr<Message> DecodeMessage(MessageKind kind, std::string_view payload) {
+  ByteReader r(payload);
+  StatusOr<uint8_t> got = ReadHeader(r);
+  if (!got.ok()) return got.status();
+  if (*got != static_cast<uint8_t>(kind)) {
+    return Status::InvalidArgument("payload holds a different message kind");
   }
-  return Status::OK();
+  Message message;
+  Status error;
+  if (!Get(r, message, error)) return error;
+  if (!r.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after the message");
+  }
+  return message;
 }
 
 }  // namespace
 
 StatusOr<MessageKind> PeekMessageKind(std::string_view payload) {
   ByteReader r(payload);
-  for (char expected : kMagic) {
-    auto byte = r.GetU8();
-    if (!byte.ok()) return byte.status();
-    if (static_cast<char>(*byte) != expected) {
-      return Status::InvalidArgument("bad magic (not a provabs message)");
-    }
-  }
-  auto version = r.GetU8();
-  if (!version.ok()) return version.status();
-  if (*version != kVersion) {
-    return Status::InvalidArgument("unsupported protocol version");
-  }
-  auto kind = r.GetU8();
+  StatusOr<uint8_t> kind = ReadHeader(r);
   if (!kind.ok()) return kind.status();
-  switch (static_cast<MessageKind>(*kind)) {
-    case MessageKind::kLoadRequest:
-    case MessageKind::kCompressRequest:
-    case MessageKind::kEvaluateRequest:
-    case MessageKind::kInfoRequest:
-    case MessageKind::kTradeoffRequest:
-    case MessageKind::kShutdownRequest:
-    case MessageKind::kListAlgosRequest:
-    case MessageKind::kListBackendsRequest:
-    case MessageKind::kEvaluateScenarioProgramRequest:
-    case MessageKind::kAppendRequest:
-    case MessageKind::kResponse:
-      return static_cast<MessageKind>(*kind);
+  if (!IsMessageKind(*kind)) {
+    return Status::InvalidArgument("unknown message kind");
   }
-  return Status::InvalidArgument("unknown message kind");
+  return static_cast<MessageKind>(*kind);
 }
 
-// ----------------------------------------------------------- requests ----
-
-std::string EncodeLoadRequest(const LoadRequest& req) {
-  ByteWriter w;
-  WriteHeader(w, MessageKind::kLoadRequest);
-  w.PutString(req.artifact);
-  w.PutString(req.polys_bytes);
-  w.PutVarint(req.forests.size());
-  for (const auto& [name, bytes] : req.forests) {
-    w.PutString(name);
-    w.PutString(bytes);
+#define PROVABS_WIRE_CODEC(kind, name)                                      \
+  std::string Encode##name##Request(const name##Request& message) {         \
+    return EncodeMessage(MessageKind::k##name##Request, message);            \
+  }                                                                         \
+  StatusOr<name##Request> Decode##name##Request(std::string_view payload) { \
+    return DecodeMessage<name##Request>(MessageKind::k##name##Request,       \
+                                        payload);                           \
   }
-  return std::move(w).Release();
-}
-
-StatusOr<LoadRequest> DecodeLoadRequest(std::string_view payload) {
-  ByteReader r(payload);
-  PROVABS_RETURN_IF_ERROR(CheckHeader(r, MessageKind::kLoadRequest));
-  LoadRequest req;
-  auto artifact = r.GetString();
-  if (!artifact.ok()) return artifact.status();
-  req.artifact = std::move(*artifact);
-  auto polys = r.GetString();
-  if (!polys.ok()) return polys.status();
-  req.polys_bytes = std::move(*polys);
-  auto count = r.GetVarint();
-  if (!count.ok()) return count.status();
-  PROVABS_RETURN_IF_ERROR(CheckCount(*count, 2, r));
-  for (uint64_t i = 0; i < *count; ++i) {
-    auto name = r.GetString();
-    if (!name.ok()) return name.status();
-    auto bytes = r.GetString();
-    if (!bytes.ok()) return bytes.status();
-    req.forests.emplace_back(std::move(*name), std::move(*bytes));
-  }
-  return req;
-}
-
-std::string EncodeCompressRequest(const CompressRequest& req) {
-  ByteWriter w;
-  WriteHeader(w, MessageKind::kCompressRequest);
-  w.PutString(req.artifact);
-  w.PutString(req.forest);
-  w.PutString(req.algo);
-  w.PutVarint(req.bound);
-  return std::move(w).Release();
-}
-
-StatusOr<CompressRequest> DecodeCompressRequest(std::string_view payload) {
-  ByteReader r(payload);
-  PROVABS_RETURN_IF_ERROR(CheckHeader(r, MessageKind::kCompressRequest));
-  CompressRequest req;
-  auto artifact = r.GetString();
-  if (!artifact.ok()) return artifact.status();
-  req.artifact = std::move(*artifact);
-  auto forest = r.GetString();
-  if (!forest.ok()) return forest.status();
-  req.forest = std::move(*forest);
-  auto algo = r.GetString();
-  if (!algo.ok()) return algo.status();
-  req.algo = std::move(*algo);
-  auto bound = r.GetVarint();
-  if (!bound.ok()) return bound.status();
-  req.bound = *bound;
-  return req;
-}
-
-std::string EncodeEvaluateRequest(const EvaluateRequest& req) {
-  ByteWriter w;
-  WriteHeader(w, MessageKind::kEvaluateRequest);
-  w.PutString(req.artifact);
-  w.PutVarint(req.assignments.size());
-  for (const auto& [name, value] : req.assignments) {
-    w.PutString(name);
-    w.PutDouble(value);
-  }
-  w.PutU8(req.compressed ? 1 : 0);
-  w.PutString(req.forest);
-  w.PutString(req.algo);
-  w.PutVarint(req.bound);
-  w.PutString(req.eval_backend);
-  return std::move(w).Release();
-}
-
-StatusOr<EvaluateRequest> DecodeEvaluateRequest(std::string_view payload) {
-  ByteReader r(payload);
-  PROVABS_RETURN_IF_ERROR(CheckHeader(r, MessageKind::kEvaluateRequest));
-  EvaluateRequest req;
-  auto artifact = r.GetString();
-  if (!artifact.ok()) return artifact.status();
-  req.artifact = std::move(*artifact);
-  auto count = r.GetVarint();
-  if (!count.ok()) return count.status();
-  // An assignment is at least a 1-byte name length plus an 8-byte double.
-  PROVABS_RETURN_IF_ERROR(CheckCount(*count, 9, r));
-  for (uint64_t i = 0; i < *count; ++i) {
-    auto name = r.GetString();
-    if (!name.ok()) return name.status();
-    auto value = r.GetDouble();
-    if (!value.ok()) return value.status();
-    req.assignments.emplace_back(std::move(*name), *value);
-  }
-  auto compressed = r.GetU8();
-  if (!compressed.ok()) return compressed.status();
-  req.compressed = *compressed != 0;
-  auto forest = r.GetString();
-  if (!forest.ok()) return forest.status();
-  req.forest = std::move(*forest);
-  auto algo = r.GetString();
-  if (!algo.ok()) return algo.status();
-  req.algo = std::move(*algo);
-  auto bound = r.GetVarint();
-  if (!bound.ok()) return bound.status();
-  req.bound = *bound;
-  auto eval_backend = r.GetString();
-  if (!eval_backend.ok()) return eval_backend.status();
-  req.eval_backend = std::move(*eval_backend);
-  return req;
-}
-
-std::string EncodeInfoRequest(const InfoRequest& req) {
-  ByteWriter w;
-  WriteHeader(w, MessageKind::kInfoRequest);
-  w.PutString(req.artifact);
-  return std::move(w).Release();
-}
-
-StatusOr<InfoRequest> DecodeInfoRequest(std::string_view payload) {
-  ByteReader r(payload);
-  PROVABS_RETURN_IF_ERROR(CheckHeader(r, MessageKind::kInfoRequest));
-  InfoRequest req;
-  auto artifact = r.GetString();
-  if (!artifact.ok()) return artifact.status();
-  req.artifact = std::move(*artifact);
-  return req;
-}
-
-std::string EncodeTradeoffRequest(const TradeoffRequest& req) {
-  ByteWriter w;
-  WriteHeader(w, MessageKind::kTradeoffRequest);
-  w.PutString(req.artifact);
-  w.PutString(req.forest);
-  return std::move(w).Release();
-}
-
-StatusOr<TradeoffRequest> DecodeTradeoffRequest(std::string_view payload) {
-  ByteReader r(payload);
-  PROVABS_RETURN_IF_ERROR(CheckHeader(r, MessageKind::kTradeoffRequest));
-  TradeoffRequest req;
-  auto artifact = r.GetString();
-  if (!artifact.ok()) return artifact.status();
-  req.artifact = std::move(*artifact);
-  auto forest = r.GetString();
-  if (!forest.ok()) return forest.status();
-  req.forest = std::move(*forest);
-  return req;
-}
-
-std::string EncodeShutdownRequest(const ShutdownRequest&) {
-  ByteWriter w;
-  WriteHeader(w, MessageKind::kShutdownRequest);
-  return std::move(w).Release();
-}
-
-StatusOr<ShutdownRequest> DecodeShutdownRequest(std::string_view payload) {
-  ByteReader r(payload);
-  PROVABS_RETURN_IF_ERROR(CheckHeader(r, MessageKind::kShutdownRequest));
-  return ShutdownRequest{};
-}
-
-std::string EncodeListAlgosRequest(const ListAlgosRequest&) {
-  ByteWriter w;
-  WriteHeader(w, MessageKind::kListAlgosRequest);
-  return std::move(w).Release();
-}
-
-StatusOr<ListAlgosRequest> DecodeListAlgosRequest(std::string_view payload) {
-  ByteReader r(payload);
-  PROVABS_RETURN_IF_ERROR(CheckHeader(r, MessageKind::kListAlgosRequest));
-  return ListAlgosRequest{};
-}
-
-std::string EncodeListBackendsRequest(const ListBackendsRequest&) {
-  ByteWriter w;
-  WriteHeader(w, MessageKind::kListBackendsRequest);
-  return std::move(w).Release();
-}
-
-StatusOr<ListBackendsRequest> DecodeListBackendsRequest(
-    std::string_view payload) {
-  ByteReader r(payload);
-  PROVABS_RETURN_IF_ERROR(CheckHeader(r, MessageKind::kListBackendsRequest));
-  return ListBackendsRequest{};
-}
-
-std::string EncodeEvaluateScenarioProgramRequest(
-    const EvaluateScenarioProgramRequest& req) {
-  ByteWriter w;
-  WriteHeader(w, MessageKind::kEvaluateScenarioProgramRequest);
-  w.PutString(req.artifact);
-  w.PutString(req.program);
-  w.PutU8(req.compressed ? 1 : 0);
-  w.PutString(req.forest);
-  w.PutString(req.algo);
-  w.PutVarint(req.bound);
-  w.PutString(req.eval_backend);
-  w.PutU8(static_cast<uint8_t>(req.shape));
-  w.PutVarint(req.top_k);
-  return std::move(w).Release();
-}
-
-StatusOr<EvaluateScenarioProgramRequest> DecodeEvaluateScenarioProgramRequest(
-    std::string_view payload) {
-  ByteReader r(payload);
-  PROVABS_RETURN_IF_ERROR(
-      CheckHeader(r, MessageKind::kEvaluateScenarioProgramRequest));
-  EvaluateScenarioProgramRequest req;
-  auto artifact = r.GetString();
-  if (!artifact.ok()) return artifact.status();
-  req.artifact = std::move(*artifact);
-  auto program = r.GetString();
-  if (!program.ok()) return program.status();
-  req.program = std::move(*program);
-  auto compressed = r.GetU8();
-  if (!compressed.ok()) return compressed.status();
-  req.compressed = *compressed != 0;
-  auto forest = r.GetString();
-  if (!forest.ok()) return forest.status();
-  req.forest = std::move(*forest);
-  auto algo = r.GetString();
-  if (!algo.ok()) return algo.status();
-  req.algo = std::move(*algo);
-  auto bound = r.GetVarint();
-  if (!bound.ok()) return bound.status();
-  req.bound = *bound;
-  auto eval_backend = r.GetString();
-  if (!eval_backend.ok()) return eval_backend.status();
-  req.eval_backend = std::move(*eval_backend);
-  auto shape = r.GetU8();
-  if (!shape.ok()) return shape.status();
-  if (*shape > static_cast<uint8_t>(ScenarioShape::kTopK)) {
-    return Status::InvalidArgument("unknown scenario result shape");
-  }
-  req.shape = static_cast<ScenarioShape>(*shape);
-  auto top_k = r.GetVarint();
-  if (!top_k.ok()) return top_k.status();
-  req.top_k = *top_k;
-  return req;
-}
-
-std::string EncodeAppendRequest(const AppendRequest& req) {
-  ByteWriter w;
-  WriteHeader(w, MessageKind::kAppendRequest);
-  w.PutString(req.artifact);
-  w.PutString(req.polys_bytes);
-  return std::move(w).Release();
-}
-
-StatusOr<AppendRequest> DecodeAppendRequest(std::string_view payload) {
-  ByteReader r(payload);
-  PROVABS_RETURN_IF_ERROR(CheckHeader(r, MessageKind::kAppendRequest));
-  AppendRequest req;
-  auto artifact = r.GetString();
-  if (!artifact.ok()) return artifact.status();
-  req.artifact = std::move(*artifact);
-  auto polys = r.GetString();
-  if (!polys.ok()) return polys.status();
-  req.polys_bytes = std::move(*polys);
-  return req;
-}
-
-// ----------------------------------------------------------- response ----
+PROVABS_WIRE_REQUESTS(PROVABS_WIRE_CODEC)
+#undef PROVABS_WIRE_CODEC
 
 std::string EncodeResponse(const Response& resp) {
-  ByteWriter w;
-  WriteHeader(w, MessageKind::kResponse);
-  w.PutU8(static_cast<uint8_t>(resp.request_kind));
-  w.PutU8(static_cast<uint8_t>(resp.code));
-  w.PutString(resp.message);
-
-  w.PutVarint(resp.stats.artifact_count);
-  w.PutVarint(resp.stats.result_count);
-  w.PutVarint(resp.stats.cached_bytes);
-  w.PutVarint(resp.stats.byte_budget);
-  w.PutVarint(resp.stats.result_hits);
-  w.PutVarint(resp.stats.result_misses);
-  w.PutVarint(resp.stats.evictions);
-  w.PutVarint(resp.stats.eval_batches);
-  w.PutVarint(resp.stats.eval_requests);
-  w.PutVarint(resp.stats.dedup_hits);
-  w.PutVarint(resp.stats.inflight_waiters);
-  w.PutVarint(resp.stats.eval_groups);
-  w.PutVarint(resp.stats.eval_backend_calls);
-  w.PutVarint(resp.stats.program_count);
-  w.PutVarint(resp.stats.program_hits);
-  w.PutVarint(resp.stats.program_misses);
-  w.PutVarint(resp.stats.active_connections);
-  w.PutVarint(resp.stats.rejected_connections);
-  w.PutVarint(resp.stats.idle_reaped);
-  w.PutVarint(resp.stats.loop_wakeups);
-  w.PutVarint(resp.stats.delta_patched);
-  w.PutVarint(resp.stats.delta_fallback_full);
-
-  w.PutVarint(resp.generation);
-  w.PutVarint(resp.poly_count);
-  w.PutVarint(resp.monomial_count);
-  w.PutVarint(resp.variable_count);
-
-  w.PutU8(resp.cache_hit ? 1 : 0);
-  w.PutU8(resp.dedup_hit ? 1 : 0);
-  w.PutU8(resp.delta_patched ? 1 : 0);
-  w.PutVarint(resp.monomial_loss);
-  w.PutVarint(resp.variable_loss);
-  w.PutU8(resp.adequate ? 1 : 0);
-  w.PutString(resp.vvs);
-  w.PutVarint(resp.compressed_monomials);
-
-  w.PutVarint(resp.values.size());
-  for (double v : resp.values) w.PutDouble(v);
-
-  w.PutVarint(resp.points.size());
-  for (const TradeoffPoint& p : resp.points) {
-    w.PutVarint(p.size_m);
-    w.PutVarint(p.variable_loss);
-  }
-
-  w.PutVarint(resp.algos.size());
-  for (const AlgoCapability& a : resp.algos) {
-    w.PutString(a.name);
-    w.PutString(a.summary);
-    uint8_t flags = 0;
-    if (a.deterministic) flags |= 1;
-    if (a.supports_tradeoff) flags |= 2;
-    if (a.exact) flags |= 4;
-    if (a.produces_cut) flags |= 8;
-    if (a.supports_time_budget) flags |= 16;
-    w.PutU8(flags);
-  }
-
-  w.PutString(resp.eval_backend);
-  w.PutVarint(resp.backends.size());
-  for (const EvalBackendCapability& b : resp.backends) {
-    w.PutString(b.name);
-    w.PutString(b.summary);
-    uint8_t flags = 0;
-    if (b.vectorized) flags |= 1;
-    if (b.deterministic) flags |= 2;
-    // Tier rides in the spare bits 2-3 (values 0-3 cover the built-ins);
-    // pre-tier decoders ignore them, so no wire-version bump.
-    flags |= static_cast<uint8_t>((b.tier & 0x3u) << 2);
-    w.PutU8(flags);
-    w.PutVarint(b.preferred_batch);
-  }
-
-  w.PutVarint(resp.scenario_count);
-  w.PutU8(resp.program_cache_hit ? 1 : 0);
-  w.PutVarint(resp.scenario_indices.size());
-  for (uint64_t index : resp.scenario_indices) w.PutVarint(index);
-  w.PutVarint(resp.objectives.size());
-  for (double objective : resp.objectives) w.PutDouble(objective);
-  return std::move(w).Release();
+  return EncodeMessage(MessageKind::kResponse, resp);
 }
 
 StatusOr<Response> DecodeResponse(std::string_view payload) {
-  ByteReader r(payload);
-  PROVABS_RETURN_IF_ERROR(CheckHeader(r, MessageKind::kResponse));
-  Response resp;
-
-  auto request_kind = r.GetU8();
-  if (!request_kind.ok()) return request_kind.status();
-  resp.request_kind = static_cast<MessageKind>(*request_kind);
-  auto code = r.GetU8();
-  if (!code.ok()) return code.status();
-  if (*code > static_cast<uint8_t>(StatusCode::kUnavailable)) {
-    return Status::InvalidArgument("unknown status code in response");
-  }
-  resp.code = static_cast<StatusCode>(*code);
-  auto message = r.GetString();
-  if (!message.ok()) return message.status();
-  resp.message = std::move(*message);
-
-  uint64_t* stat_fields[] = {
-      &resp.stats.artifact_count, &resp.stats.result_count,
-      &resp.stats.cached_bytes,   &resp.stats.byte_budget,
-      &resp.stats.result_hits,    &resp.stats.result_misses,
-      &resp.stats.evictions,      &resp.stats.eval_batches,
-      &resp.stats.eval_requests,  &resp.stats.dedup_hits,
-      &resp.stats.inflight_waiters, &resp.stats.eval_groups,
-      &resp.stats.eval_backend_calls, &resp.stats.program_count,
-      &resp.stats.program_hits,   &resp.stats.program_misses,
-      &resp.stats.active_connections, &resp.stats.rejected_connections,
-      &resp.stats.idle_reaped,    &resp.stats.loop_wakeups,
-      &resp.stats.delta_patched,  &resp.stats.delta_fallback_full,
-      &resp.generation,           &resp.poly_count,
-      &resp.monomial_count,       &resp.variable_count};
-  for (uint64_t* field : stat_fields) {
-    auto v = r.GetVarint();
-    if (!v.ok()) return v.status();
-    *field = *v;
-  }
-
-  auto cache_hit = r.GetU8();
-  if (!cache_hit.ok()) return cache_hit.status();
-  resp.cache_hit = *cache_hit != 0;
-  auto dedup_hit = r.GetU8();
-  if (!dedup_hit.ok()) return dedup_hit.status();
-  resp.dedup_hit = *dedup_hit != 0;
-  auto delta_patched = r.GetU8();
-  if (!delta_patched.ok()) return delta_patched.status();
-  resp.delta_patched = *delta_patched != 0;
-  auto ml = r.GetVarint();
-  if (!ml.ok()) return ml.status();
-  resp.monomial_loss = *ml;
-  auto vl = r.GetVarint();
-  if (!vl.ok()) return vl.status();
-  resp.variable_loss = *vl;
-  auto adequate = r.GetU8();
-  if (!adequate.ok()) return adequate.status();
-  resp.adequate = *adequate != 0;
-  auto vvs = r.GetString();
-  if (!vvs.ok()) return vvs.status();
-  resp.vvs = std::move(*vvs);
-  auto compressed_m = r.GetVarint();
-  if (!compressed_m.ok()) return compressed_m.status();
-  resp.compressed_monomials = *compressed_m;
-
-  auto value_count = r.GetVarint();
-  if (!value_count.ok()) return value_count.status();
-  PROVABS_RETURN_IF_ERROR(CheckCount(*value_count, 8, r));
-  resp.values.reserve(*value_count);
-  for (uint64_t i = 0; i < *value_count; ++i) {
-    auto v = r.GetDouble();
-    if (!v.ok()) return v.status();
-    resp.values.push_back(*v);
-  }
-
-  auto point_count = r.GetVarint();
-  if (!point_count.ok()) return point_count.status();
-  PROVABS_RETURN_IF_ERROR(CheckCount(*point_count, 2, r));
-  resp.points.reserve(*point_count);
-  for (uint64_t i = 0; i < *point_count; ++i) {
-    auto size_m = r.GetVarint();
-    if (!size_m.ok()) return size_m.status();
-    auto vloss = r.GetVarint();
-    if (!vloss.ok()) return vloss.status();
-    resp.points.push_back(TradeoffPoint{static_cast<size_t>(*size_m),
-                                        static_cast<size_t>(*vloss)});
-  }
-
-  auto algo_count = r.GetVarint();
-  if (!algo_count.ok()) return algo_count.status();
-  // An algo record is at least two 1-byte string lengths plus a flags byte.
-  PROVABS_RETURN_IF_ERROR(CheckCount(*algo_count, 3, r));
-  resp.algos.reserve(*algo_count);
-  for (uint64_t i = 0; i < *algo_count; ++i) {
-    AlgoCapability a;
-    auto name = r.GetString();
-    if (!name.ok()) return name.status();
-    a.name = std::move(*name);
-    auto summary = r.GetString();
-    if (!summary.ok()) return summary.status();
-    a.summary = std::move(*summary);
-    auto flags = r.GetU8();
-    if (!flags.ok()) return flags.status();
-    a.deterministic = (*flags & 1) != 0;
-    a.supports_tradeoff = (*flags & 2) != 0;
-    a.exact = (*flags & 4) != 0;
-    a.produces_cut = (*flags & 8) != 0;
-    a.supports_time_budget = (*flags & 16) != 0;
-    resp.algos.push_back(std::move(a));
-  }
-
-  auto eval_backend = r.GetString();
-  if (!eval_backend.ok()) return eval_backend.status();
-  resp.eval_backend = std::move(*eval_backend);
-  auto backend_count = r.GetVarint();
-  if (!backend_count.ok()) return backend_count.status();
-  // A backend record is at least two 1-byte string lengths, a flags byte,
-  // and a 1-byte preferred-batch varint.
-  PROVABS_RETURN_IF_ERROR(CheckCount(*backend_count, 4, r));
-  resp.backends.reserve(*backend_count);
-  for (uint64_t i = 0; i < *backend_count; ++i) {
-    EvalBackendCapability b;
-    auto name = r.GetString();
-    if (!name.ok()) return name.status();
-    b.name = std::move(*name);
-    auto summary = r.GetString();
-    if (!summary.ok()) return summary.status();
-    b.summary = std::move(*summary);
-    auto flags = r.GetU8();
-    if (!flags.ok()) return flags.status();
-    b.vectorized = (*flags & 1) != 0;
-    b.deterministic = (*flags & 2) != 0;
-    b.tier = (*flags >> 2) & 0x3u;
-    auto preferred = r.GetVarint();
-    if (!preferred.ok()) return preferred.status();
-    b.preferred_batch = *preferred;
-    resp.backends.push_back(std::move(b));
-  }
-
-  auto scenario_count = r.GetVarint();
-  if (!scenario_count.ok()) return scenario_count.status();
-  resp.scenario_count = *scenario_count;
-  auto program_cache_hit = r.GetU8();
-  if (!program_cache_hit.ok()) return program_cache_hit.status();
-  resp.program_cache_hit = *program_cache_hit != 0;
-  auto index_count = r.GetVarint();
-  if (!index_count.ok()) return index_count.status();
-  PROVABS_RETURN_IF_ERROR(CheckCount(*index_count, 1, r));
-  resp.scenario_indices.reserve(*index_count);
-  for (uint64_t i = 0; i < *index_count; ++i) {
-    auto index = r.GetVarint();
-    if (!index.ok()) return index.status();
-    resp.scenario_indices.push_back(*index);
-  }
-  auto objective_count = r.GetVarint();
-  if (!objective_count.ok()) return objective_count.status();
-  PROVABS_RETURN_IF_ERROR(CheckCount(*objective_count, 8, r));
-  resp.objectives.reserve(*objective_count);
-  for (uint64_t i = 0; i < *objective_count; ++i) {
-    auto objective = r.GetDouble();
-    if (!objective.ok()) return objective.status();
-    resp.objectives.push_back(*objective);
-  }
-  return resp;
+  return DecodeMessage<Response>(MessageKind::kResponse, payload);
 }
 
 // ------------------------------------------------------------ framing ----

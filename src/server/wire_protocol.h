@@ -33,9 +33,11 @@ namespace provabs {
 ///
 /// Request kinds occupy 16..31 and responses 32..47, disjoint from the
 /// artifact kinds (1..4) of io/serializer.cc, so a stored artifact can never
-/// be mistaken for a protocol message. All decoders are bounds-checked and
-/// return `Status` errors on malformed input; they never abort (the bytes
-/// come from the network).
+/// be mistaken for a protocol message. Each message's body is written down
+/// once, as a field list in wire_protocol.cc that one generic writer and
+/// one generic reader walk. All decoders are bounds-checked and return
+/// `Status` errors on malformed input; they never abort (the bytes come
+/// from the network).
 
 /// Protocol version byte. Bump whenever any message layout changes so a
 /// version-skewed peer gets a clean "unsupported protocol version" error
@@ -57,17 +59,31 @@ namespace provabs {
 /// per-response delta_patched byte.
 inline constexpr uint8_t kWireVersion = 7;
 
+/// The request messages, declared once as (kind byte, name): entry
+/// `X(16, Load)` is the struct `LoadRequest`, its kind
+/// `MessageKind::kLoadRequest`, the codec pair `EncodeLoadRequest` /
+/// `DecodeLoadRequest`, and the handler `ProvenanceService::Load`. The
+/// enum below, the codec declarations at the end of this header,
+/// PeekMessageKind, DecodeResponse's `request_kind` check, the dispatch in
+/// ProvenanceService::HandleFrame and the wire tests' sweeps all expand
+/// this list, so a new message is one new line here plus its struct, its
+/// field list (wire_protocol.cc), its handler and its test sample.
+#define PROVABS_WIRE_REQUESTS(X) \
+  X(16, Load)                    \
+  X(17, Compress)                \
+  X(18, Evaluate)                \
+  X(19, Info)                    \
+  X(20, Tradeoff)                \
+  X(21, Shutdown)                \
+  X(22, ListAlgos)               \
+  X(23, ListBackends)            \
+  X(24, EvaluateScenarioProgram) \
+  X(25, Append)
+
 enum class MessageKind : uint8_t {
-  kLoadRequest = 16,
-  kCompressRequest = 17,
-  kEvaluateRequest = 18,
-  kInfoRequest = 19,
-  kTradeoffRequest = 20,
-  kShutdownRequest = 21,
-  kListAlgosRequest = 22,
-  kListBackendsRequest = 23,
-  kEvaluateScenarioProgramRequest = 24,
-  kAppendRequest = 25,
+#define PROVABS_WIRE_KIND(kind, name) k##name##Request = kind,
+  PROVABS_WIRE_REQUESTS(PROVABS_WIRE_KIND)
+#undef PROVABS_WIRE_KIND
   kResponse = 32,
 };
 
@@ -340,31 +356,18 @@ struct Response {
 /// Reads the message kind of an encoded payload without decoding the body.
 StatusOr<MessageKind> PeekMessageKind(std::string_view payload);
 
-std::string EncodeLoadRequest(const LoadRequest& req);
-std::string EncodeCompressRequest(const CompressRequest& req);
-std::string EncodeEvaluateRequest(const EvaluateRequest& req);
-std::string EncodeInfoRequest(const InfoRequest& req);
-std::string EncodeTradeoffRequest(const TradeoffRequest& req);
-std::string EncodeShutdownRequest(const ShutdownRequest& req);
-std::string EncodeListAlgosRequest(const ListAlgosRequest& req);
-std::string EncodeListBackendsRequest(const ListBackendsRequest& req);
-std::string EncodeEvaluateScenarioProgramRequest(
-    const EvaluateScenarioProgramRequest& req);
-std::string EncodeAppendRequest(const AppendRequest& req);
+/// One codec pair per PROVABS_WIRE_REQUESTS entry — `std::string
+/// EncodeLoadRequest(const LoadRequest&)`, `StatusOr<LoadRequest>
+/// DecodeLoadRequest(std::string_view)`, and so on — plus the Response
+/// pair. A decoder fails with a Status, never an abort, on a payload of
+/// another kind or version, a malformed or truncated field, or bytes
+/// after the last field.
+#define PROVABS_WIRE_CODEC(kind, name)                             \
+  std::string Encode##name##Request(const name##Request& message); \
+  StatusOr<name##Request> Decode##name##Request(std::string_view payload);
+PROVABS_WIRE_REQUESTS(PROVABS_WIRE_CODEC)
+#undef PROVABS_WIRE_CODEC
 std::string EncodeResponse(const Response& resp);
-
-StatusOr<LoadRequest> DecodeLoadRequest(std::string_view payload);
-StatusOr<CompressRequest> DecodeCompressRequest(std::string_view payload);
-StatusOr<EvaluateRequest> DecodeEvaluateRequest(std::string_view payload);
-StatusOr<InfoRequest> DecodeInfoRequest(std::string_view payload);
-StatusOr<TradeoffRequest> DecodeTradeoffRequest(std::string_view payload);
-StatusOr<ShutdownRequest> DecodeShutdownRequest(std::string_view payload);
-StatusOr<ListAlgosRequest> DecodeListAlgosRequest(std::string_view payload);
-StatusOr<ListBackendsRequest> DecodeListBackendsRequest(
-    std::string_view payload);
-StatusOr<EvaluateScenarioProgramRequest> DecodeEvaluateScenarioProgramRequest(
-    std::string_view payload);
-StatusOr<AppendRequest> DecodeAppendRequest(std::string_view payload);
 StatusOr<Response> DecodeResponse(std::string_view payload);
 
 /// Frames larger than this are rejected before any allocation, so a corrupt

@@ -10,6 +10,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -337,6 +338,38 @@ TEST(ServerLifecycleTest, IdleClientReapedWithinTwiceTimeout) {
   ASSERT_TRUE(resp.ok());
   EXPECT_GE(resp->stats.idle_reaped, 1u);
 
+  server.Shutdown();
+  server.Wait();
+}
+
+/// Another client's traffic wakes the loop often, so some wakeup lands in
+/// the idle connection's deadline tick just before its deadline; the reap
+/// must still happen on time, not one wheel revolution (256 ticks) later.
+TEST(ServerLifecycleTest, IdleClientReapedWhileAnotherClientIsBusy) {
+  ProvenanceService service;
+  ServerOptions options;
+  options.idle_timeout_ms = 400;
+  options.worker_threads = 1;
+  Server server(service, options);
+  ASSERT_TRUE(server.Start().ok());
+  auto busy = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(busy.ok());
+
+  int fd = RawConnect(server.port());
+  ASSERT_GE(fd, 0);
+  std::atomic<bool> stop{false};
+  std::thread traffic([&] {
+    while (!stop.load()) {
+      (void)busy->Info(InfoRequest{});
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  });
+  int64_t elapsed = WaitForEof(fd, 4000);
+  stop = true;
+  traffic.join();
+  ::close(fd);
+  ASSERT_GE(elapsed, 0) << "idle connection was never reaped";
+  EXPECT_LE(elapsed, 2 * 400) << "reap took longer than 2x idle_timeout_ms";
   server.Shutdown();
   server.Wait();
 }
@@ -715,6 +748,13 @@ TEST_F(ServerBinarySmokeTest, RemoteCompressAgainstStoppedServerTimesOut) {
   // listen backlog and buffers the request bytes, so without a deadline
   // the client would block in read() until the process is thawed.
   ASSERT_EQ(::kill(pid, SIGSTOP), 0);
+  // kill() only queues the stop: a multi-threaded process stops once the
+  // thread taking the signal gets a CPU, so on a loaded machine the server
+  // could still answer the request below. waitpid reports the whole
+  // process stopped.
+  int stopped = 0;
+  ASSERT_EQ(::waitpid(pid, &stopped, WUNTRACED), pid);
+  ASSERT_TRUE(WIFSTOPPED(stopped));
 
   std::string out;
   auto start = std::chrono::steady_clock::now();

@@ -5,14 +5,184 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <functional>
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "io/byte_stream.h"
 
+// The largest single heap request made while `g_track_allocations` is set,
+// so the mutation sweep can bound what a corrupt element count makes a
+// decoder reserve. Replacing the plain and nothrow forms together keeps
+// every allocation they serve paired with a matching release.
+namespace {
+std::atomic<bool> g_track_allocations{false};
+std::atomic<size_t> g_peak_allocation{0};
+
+void* TrackedAlloc(size_t size) noexcept {
+  if (g_track_allocations.load(std::memory_order_relaxed) &&
+      size > g_peak_allocation.load(std::memory_order_relaxed)) {
+    g_peak_allocation.store(size, std::memory_order_relaxed);
+  }
+  return std::malloc(size != 0 ? size : 1);
+}
+}  // namespace
+
+void* operator new(size_t size) {
+  if (void* p = TrackedAlloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(size_t size, const std::nothrow_t&) noexcept {
+  return TrackedAlloc(size);
+}
+// Out of line, so the compiler never sees free() applied to a pointer it
+// knows came from operator new.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
 namespace provabs {
 namespace {
+
+// ------------------------------------------------------------- samples --
+
+// One fully populated instance of every message kind: each field differs
+// from its default, each ServerStats counter is distinct, every capability
+// flag bit is set in some record, and one backend record carries tier 3.
+// The golden test pins their encodings; the sweeps below mutate them.
+
+LoadRequest SampleLoad() {
+  return {"tel", std::string("\x00\xFFP", 3),
+          {{"plans", "T1"}, {"months", ""}}};
+}
+CompressRequest SampleCompress() { return {"tel", "plans", "greedy", 300}; }
+EvaluateRequest SampleEvaluate() {
+  return {"tel", {{"m3", 0.5}, {"p1", -2.25}}, true, "plans", "greedy", 1500,
+          "jit"};
+}
+InfoRequest SampleInfo() { return {"tel"}; }
+TradeoffRequest SampleTradeoff() { return {"tel", "plans"}; }
+ShutdownRequest SampleShutdown() { return {}; }
+ListAlgosRequest SampleListAlgos() { return {}; }
+ListBackendsRequest SampleListBackends() { return {}; }
+EvaluateScenarioProgramRequest SampleEvaluateScenarioProgram() {
+  return {"tel",    "SET * = 1;", true, "plans", "greedy", 4096,
+          "simd_batch", ScenarioShape::kTopK, 5};
+}
+AppendRequest SampleAppend() { return {"tel", std::string("\x01\x00Q", 3)}; }
+Response SampleResponse() {
+  Response m;
+  m.request_kind = MessageKind::kEvaluateScenarioProgramRequest;
+  m.code = StatusCode::kInfeasible;
+  m.message = "no adequate VVS";
+  m.stats = {1,  2,  1u << 20, 1u << 26, 5,  6,  7,  8,  9,  10,        11,
+             12, 13, 14,       15,       16, 17, 18, 19, 123456789, 21, 22};
+  m.generation = 23;
+  m.poly_count = 24;
+  m.monomial_count = 2400;
+  m.variable_count = 111;
+  m.cache_hit = true;
+  m.dedup_hit = true;
+  m.delta_patched = true;
+  m.monomial_loss = 1332;
+  m.variable_loss = 98;
+  m.adequate = true;
+  m.vvs = "{T_root}";
+  m.compressed_monomials = 1068;
+  m.values = {1.5, -2.5};
+  m.eval_backend = "jit";
+  m.points = {{2400, 0}, {1068, 98}};
+  m.algos = {{"opt", "DP", true, false, true, false, true},
+             {"prox", "", false, true, false, true, false}};
+  m.backends = {{"jit", "x86", true, false, 300, 3},
+                {"naive", "", false, true, 8, 1}};
+  m.scenario_count = 1000;
+  m.program_cache_hit = true;
+  m.scenario_indices = {999, 0, 421};
+  m.objectives = {87.5, -1.25};
+  return m;
+}
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 0xF];
+  }
+  return out;
+}
+
+/// Every message kind's sample with its decoder, in kind order. The list
+/// expands PROVABS_WIRE_REQUESTS, so a new kind cannot join the protocol
+/// without a sample here, and every sweep below covers it.
+struct Sample {
+  MessageKind kind;
+  std::string encoded;
+  Status (*decode)(std::string_view);
+};
+
+std::vector<Sample> DeclaredSamples() {
+  std::vector<Sample> samples;
+#define PROVABS_SAMPLE(byte, name)                                    \
+  samples.push_back({MessageKind::k##name##Request,                   \
+                     Encode##name##Request(Sample##name()),           \
+                     [](std::string_view p) -> Status {               \
+                       return Decode##name##Request(p).status();      \
+                     }});
+  PROVABS_WIRE_REQUESTS(PROVABS_SAMPLE)
+#undef PROVABS_SAMPLE
+  samples.push_back({MessageKind::kResponse, EncodeResponse(SampleResponse()),
+                     [](std::string_view p) -> Status {
+                       return DecodeResponse(p).status();
+                     }});
+  return samples;
+}
+
+// --------------------------------------------------------- golden bytes --
+
+/// Wire v7 byte for byte: any change to a layout, a field order, a flag
+/// bit or a kind byte fails here and must come with a kWireVersion bump.
+TEST(WireProtocolTest, GoldenBytesAtVersion7) {
+  EXPECT_EQ(kWireVersion, 7);
+  EXPECT_EQ(Hex(EncodeLoadRequest(SampleLoad())),
+            "5056414207100374656c0300ff500205706c616e73025431066d6f6e74687300");
+  EXPECT_EQ(Hex(EncodeCompressRequest(SampleCompress())),
+            "5056414207110374656c05706c616e7306677265656479ac02");
+  EXPECT_EQ(Hex(EncodeEvaluateRequest(SampleEvaluate())),
+            "5056414207120374656c02026d33000000000000e03f0270310000000000"
+            "0002c00105706c616e7306677265656479dc0b036a6974");
+  EXPECT_EQ(Hex(EncodeInfoRequest(SampleInfo())),
+            "5056414207130374656c");
+  EXPECT_EQ(Hex(EncodeTradeoffRequest(SampleTradeoff())),
+            "5056414207140374656c05706c616e73");
+  EXPECT_EQ(Hex(EncodeShutdownRequest(SampleShutdown())),
+            "505641420715");
+  EXPECT_EQ(Hex(EncodeListAlgosRequest(SampleListAlgos())),
+            "505641420716");
+  EXPECT_EQ(Hex(EncodeListBackendsRequest(SampleListBackends())),
+            "505641420717");
+  EXPECT_EQ(Hex(EncodeEvaluateScenarioProgramRequest(
+                SampleEvaluateScenarioProgram())),
+            "5056414207180374656c0a534554202a203d20313b0105706c616e7306"
+            "67726565647980200a73696d645f62617463680305");
+  EXPECT_EQ(Hex(EncodeAppendRequest(SampleAppend())),
+            "5056414207190374656c03010051");
+  EXPECT_EQ(Hex(EncodeResponse(SampleResponse())),
+            "50564142072018050f6e6f20616465717561746520565653010280804080"
+            "80802005060708090a0b0c0d0e0f10111213959aef3a15161718e0126f01"
+            "0101b40a6201087b545f726f6f747dac0802000000000000f83f00000000"
+            "000004c002e01200ac086202036f7074024450150470726f78000a036a69"
+            "7402036a6974037838360dac02056e61697665000608e8070103e70700a5"
+            "03020000000000e05540000000000000f4bf");
+}
 
 // ----------------------------------------------------------- round trips --
 
@@ -396,89 +566,75 @@ TEST(WireProtocolTest, PeekMessageKind) {
 /// error — never a crash, never a bogus success. This is the wire-level
 /// twin of the serializer truncation sweep.
 TEST(WireProtocolTest, TruncationSweepAllMessages) {
-  LoadRequest load;
-  load.artifact = "a";
-  load.polys_bytes = "0123456789";
-  load.forests = {{"f", "forest-bytes"}};
-  EvaluateRequest eval;
-  eval.artifact = "a";
-  eval.assignments = {{"x", 1.0}};
-  eval.eval_backend = "simd_batch";
-  Response resp;
-  resp.message = "msg";
-  resp.values = {1.0, 2.0};
-  resp.points = {{10, 1}};
-  resp.vvs = "{r}";
-  resp.algos = {{"opt", "optimal DP", true, true, true, true}};
-  resp.eval_backend = "simd_batch";
-  resp.backends = {{"simd_batch", "SoA lanes", true, true, 8, 2}};
-
-  struct Case {
-    std::string encoded;
-    std::function<bool(std::string_view)> decode_ok;
-  };
-  std::vector<Case> cases;
-  cases.push_back({EncodeLoadRequest(load), [](std::string_view d) {
-                     return DecodeLoadRequest(d).ok();
-                   }});
-  cases.push_back(
-      {EncodeCompressRequest(CompressRequest{"a", "f", "opt", 9}),
-       [](std::string_view d) { return DecodeCompressRequest(d).ok(); }});
-  cases.push_back({EncodeEvaluateRequest(eval), [](std::string_view d) {
-                     return DecodeEvaluateRequest(d).ok();
-                   }});
-  cases.push_back({EncodeInfoRequest(InfoRequest{"a"}),
-                   [](std::string_view d) {
-                     return DecodeInfoRequest(d).ok();
-                   }});
-  cases.push_back({EncodeTradeoffRequest(TradeoffRequest{"a", "f"}),
-                   [](std::string_view d) {
-                     return DecodeTradeoffRequest(d).ok();
-                   }});
-  cases.push_back({EncodeShutdownRequest(ShutdownRequest{}),
-                   [](std::string_view d) {
-                     return DecodeShutdownRequest(d).ok();
-                   }});
-  cases.push_back({EncodeListAlgosRequest(ListAlgosRequest{}),
-                   [](std::string_view d) {
-                     return DecodeListAlgosRequest(d).ok();
-                   }});
-  cases.push_back({EncodeListBackendsRequest(ListBackendsRequest{}),
-                   [](std::string_view d) {
-                     return DecodeListBackendsRequest(d).ok();
-                   }});
-  EvaluateScenarioProgramRequest scenario;
-  scenario.artifact = "a";
-  scenario.program = "SET * = 1;";
-  scenario.eval_backend = "simd_batch";
-  scenario.shape = ScenarioShape::kTopK;
-  scenario.top_k = 3;
-  cases.push_back({EncodeEvaluateScenarioProgramRequest(scenario),
-                   [](std::string_view d) {
-                     return DecodeEvaluateScenarioProgramRequest(d).ok();
-                   }});
-  cases.push_back({EncodeResponse(resp), [](std::string_view d) {
-                     return DecodeResponse(d).ok();
-                   }});
-  Response scenario_resp;
-  scenario_resp.request_kind = MessageKind::kEvaluateScenarioProgramRequest;
-  scenario_resp.scenario_count = 12;
-  scenario_resp.program_cache_hit = true;
-  scenario_resp.scenario_indices = {4, 7};
-  scenario_resp.objectives = {1.5, 0.25};
-  scenario_resp.values = {9.0, 8.0};
-  scenario_resp.stats.program_misses = 1;
-  cases.push_back({EncodeResponse(scenario_resp), [](std::string_view d) {
-                     return DecodeResponse(d).ok();
-                   }});
-
+  std::vector<Sample> cases = DeclaredSamples();
   for (size_t c = 0; c < cases.size(); ++c) {
     const std::string& full = cases[c].encoded;
-    ASSERT_TRUE(cases[c].decode_ok(full)) << "case " << c;
+    ASSERT_TRUE(cases[c].decode(full).ok()) << "case " << c;
+    EXPECT_EQ(*PeekMessageKind(full), cases[c].kind) << "case " << c;
     for (size_t len = 0; len < full.size(); ++len) {
-      EXPECT_FALSE(cases[c].decode_ok(std::string_view(full).substr(0, len)))
+      EXPECT_FALSE(cases[c].decode(std::string_view(full).substr(0, len)).ok())
           << "case " << c << " prefix " << len;
     }
+  }
+}
+
+/// Every byte of every sample overwritten with each of four values: the
+/// decoder returns a value or a Status, never crashes, and never reserves
+/// more than CheckCount allows. The largest decoded element, a pair of
+/// strings, is 64 bytes for at least 2 wire bytes, so a reservation stays
+/// within 32 bytes per payload byte; the bound below allows twice that.
+TEST(WireProtocolTest, ByteMutationSweepAllMessages) {
+  for (const Sample& sample : DeclaredSamples()) {
+    const size_t bound = 64 * sample.encoded.size() + 64;
+    for (size_t pos = 0; pos < sample.encoded.size(); ++pos) {
+      for (unsigned char value : {0x00, 0x7F, 0x80, 0xFF}) {
+        std::string mutated = sample.encoded;
+        mutated[pos] = static_cast<char>(value);
+        g_peak_allocation = 0;
+        g_track_allocations = true;
+        Status status = sample.decode(mutated);
+        g_track_allocations = false;
+        EXPECT_TRUE(status.ok() ||
+                    status.code() == StatusCode::kInvalidArgument ||
+                    status.code() == StatusCode::kOutOfRange)
+            << Hex(mutated) << ": " << status.ToString();
+        EXPECT_LE(g_peak_allocation.load(), bound)
+            << Hex(mutated) << ": " << status.ToString();
+      }
+    }
+  }
+}
+
+TEST(WireProtocolTest, TrailingBytesRejected) {
+  for (const Sample& sample : DeclaredSamples()) {
+    Status status = sample.decode(sample.encoded + '\0');
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << static_cast<int>(sample.kind) << ": " << status.ToString();
+  }
+  EXPECT_FALSE(
+      DecodeCompressRequest(EncodeCompressRequest(SampleCompress()) + "GARBAGE")
+          .ok());
+  EXPECT_FALSE(
+      DecodeResponse(EncodeResponse(SampleResponse()) + "\x01\x02").ok());
+}
+
+TEST(WireProtocolTest, ResponseRequestKindMustBeDeclared) {
+  // Every declared kind decodes, kResponse included: the server answers
+  // with it when it cannot read the request header.
+  Response resp;
+  for (const Sample& sample : DeclaredSamples()) {
+    resp.request_kind = sample.kind;
+    auto decoded = DecodeResponse(EncodeResponse(resp));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->request_kind, sample.kind);
+  }
+  // The request_kind byte follows the 6-byte header.
+  for (int byte : {0, 1, 15, 26, 31, 33, 200}) {
+    std::string encoded = EncodeResponse(resp);
+    encoded[6] = static_cast<char>(byte);
+    auto decoded = DecodeResponse(encoded);
+    ASSERT_FALSE(decoded.ok()) << byte;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
   }
 }
 

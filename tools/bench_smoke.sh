@@ -2,40 +2,26 @@
 # Bench smoke: run every bench driver once at minimal sizes and fail on any
 # nonzero exit. Benches are not part of ctest, so without this they only
 # ever compile in CI and can bit-rot at runtime (stale flags, renamed
-# registry algorithms, workload API drift). This is a liveness check, not a
-# measurement: timings printed here are meaningless — with SIX machine-
-# keyed exceptions, each only checked when the current MACHINEKEY (cpu
-# model) matches the cpu recorded in the reference JSON; on other machines
-# the thresholds are skipped (noise):
-#   - bench_evaluate_kernel (vs BENCH_evaluate.json): the simd_batch
-#     backend must not fall below 1.0x the single-scenario compiled loop at
-#     the recorded batch width. A vectorized backend slower than the scalar
-#     loop it batches is a regression even at smoke scale.
-#   - bench_evaluate_kernel (vs BENCH_evaluate.json): the jit arm's
-#     single-scenario sweep must not fall below 1.0x the compiled loop —
-#     but only JITSTAT lines with mode=native; hosts where the jit fell
-#     back (forced off, no executable memory) skip cleanly, since the
-#     fallback IS the compiled kernel and its ratio is just noise.
-#   - bench_server_throughput (vs BENCH_baseline.json): the cached-compress
-#     ratio (cold DP / cache hit) must stay >= 100x. The hot serving path
-#     is a mutex + hash probe; two orders of magnitude of headroom under
-#     the ~2000x recorded means the path grew real work.
-#   - bench_server_throughput (vs BENCH_baseline.json): foreground Info
-#     RPC latency with 64 idle connections parked must stay >= 0.5x the
-#     lone-client latency. Idle connections are bare fds on the epoll
-#     loop; if they drag request latency, per-connection threads, busy
-#     wakeups, or O(conns) scans crept back into the front end.
-#   - bench_scenario_expand (vs BENCH_baseline.json): one scenario-program
-#     request must stay >= 5.0x faster than the same 1000 scenarios as
-#     individual RPCs (the subsystem's raison d'etre), and its built-in
-#     bitwise-identity check must pass (enforced by the driver's exit
-#     code on every machine).
-#   - bench_incremental_update (vs BENCH_baseline.json): patching a
-#     retained DP after a localized append must stay >= 2.0x faster than
-#     the cold full DP on every standard workload (min ratio). The
-#     driver's built-in patched-vs-full differential (field equality +
-#     byte-identical serialization) is enforced by its exit code on every
-#     machine; only the latency ratio is machine-keyed.
+# registry algorithms, workload API drift). Drivers enforce their own
+# same-run floors through that exit code, on every machine:
+# bench_server_throughput (cached compress >= 100x the cold DP, Info RPCs
+# with 64 idle connections >= 0.5x alone), bench_scenario_expand (one
+# program request >= 5x the same scenarios as RPCs, bitwise identical) and
+# bench_incremental_update (patched recompress >= 2x the cold DP, field-
+# and byte-identical). Other timings printed here are meaningless — with
+# TWO machine-keyed exceptions, checked only when the current MACHINEKEY
+# (cpu model) matches the cpu recorded in BENCH_evaluate.json; on other
+# machines they are skipped (their smoke timings are 3-240 us and swing
+# about 2x between runs):
+#   - bench_evaluate_kernel: the simd_batch backend must not fall below
+#     1.0x the single-scenario compiled loop at the recorded batch width.
+#     A vectorized backend slower than the scalar loop it batches is a
+#     regression even at smoke scale.
+#   - bench_evaluate_kernel: the jit arm's single-scenario sweep must not
+#     fall below 1.0x the compiled loop — but only JITSTAT lines with
+#     mode=native; hosts where the jit fell back (forced off, no executable
+#     memory) skip cleanly, since the fallback IS the compiled kernel and
+#     its ratio is just noise.
 #
 # Usage: tools/bench_smoke.sh [BUILD_DIR]   (default: build)
 set -u
@@ -69,14 +55,11 @@ for bench in "$BENCH_DIR"/bench_*; do
       args=(--benchmark_min_time=0.01) ;;
   esac
   echo "== $name ${args[*]:-}"
-  # These drivers' stdout carries the MACHINEKEY/stat lines the threshold
+  # This driver's stdout carries the MACHINEKEY/stat lines the threshold
   # checks below parse; every other driver's is discarded.
   out=/dev/null
   case "$name" in
-    bench_evaluate_kernel)    out=/tmp/bench_smoke_eval.$$ ;;
-    bench_server_throughput)  out=/tmp/bench_smoke_srv.$$ ;;
-    bench_scenario_expand)    out=/tmp/bench_smoke_scn.$$ ;;
-    bench_incremental_update) out=/tmp/bench_smoke_incr.$$ ;;
+    bench_evaluate_kernel) out=/tmp/bench_smoke_eval.$$ ;;
   esac
   "$bench" "${args[@]}" > "$out" 2> /tmp/bench_smoke_err.$$
   rc=$?
@@ -130,49 +113,6 @@ if [ -s "$EVAL_OUT" ] && [ -f "$REFERENCE_JSON" ]; then
   fi
 fi
 rm -f "$EVAL_OUT"
-
-# Serving-layer ratios, keyed against the machine BENCH_baseline.json was
-# recorded on (same skip-on-foreign-machine policy as above).
-BASELINE_JSON="$(cd "$(dirname "$0")/.." && pwd)/BENCH_baseline.json"
-baseline_cpu=""
-if [ -f "$BASELINE_JSON" ]; then
-  baseline_cpu=$(sed -n 's/^[[:space:]]*"cpu": "\(.*\)",*$/\1/p' "$BASELINE_JSON" | head -1)
-fi
-
-check_ratio() {
-  # check_ratio <out-file> <stat-prefix> <min-ratio> <label> [metric]
-  # A driver may print several <stat-prefix> lines, distinguished by a
-  # metric=NAME field; pass [metric] to threshold only that line (empty
-  # matches every line, the pre-multi-metric behaviour).
-  local out="$1" prefix="$2" min="$3" label="$4" metric="${5:-}"
-  [ -s "$out" ] && [ -n "$baseline_cpu" ] || return 0
-  local this_cpu
-  this_cpu=$(sed -n 's/^MACHINEKEY cpu=//p' "$out" | head -1)
-  if [ "$this_cpu" != "$baseline_cpu" ]; then
-    echo "bench_smoke: skipping $label threshold (machine key '$this_cpu' != recorded '$baseline_cpu')"
-    return 0
-  fi
-  local bad
-  bad=$(awk -v prefix="$prefix" -v min="$min" -v metric="$metric" \
-    '$1 == prefix && (metric == "" || $2 == "metric=" metric) {
-    for (i = 1; i <= NF; i++) {
-      if ($i ~ /^ratio=/) { sub("ratio=", "", $i); if ($i + 0 < min) print }
-    }
-  }' "$out")
-  if [ -n "$bad" ]; then
-    echo "FAILED: $label ratio below ${min}x on the recorded machine ($this_cpu):" >&2
-    grep "^$prefix " "$out" | sed 's/^/    /' >&2
-    failures=$((failures + 1))
-  else
-    echo "bench_smoke: $label ratio >= ${min}x (machine key matched)"
-  fi
-}
-
-check_ratio /tmp/bench_smoke_srv.$$ SRVSTAT 100 "cached-compress" cached_compress
-check_ratio /tmp/bench_smoke_srv.$$ SRVSTAT 0.5 "idle-connection latency" concurrent_connections
-check_ratio /tmp/bench_smoke_scn.$$ SCENARIOSTAT 5.0 "scenario fan-out"
-check_ratio /tmp/bench_smoke_incr.$$ PATCHSTAT 2.0 "incremental patch" patched_vs_full
-rm -f /tmp/bench_smoke_srv.$$ /tmp/bench_smoke_scn.$$ /tmp/bench_smoke_incr.$$
 
 if [ "$count" -eq 0 ]; then
   echo "bench_smoke: no bench binaries found under $BENCH_DIR" >&2
