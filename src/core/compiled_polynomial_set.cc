@@ -1,7 +1,6 @@
 #include "core/compiled_polynomial_set.h"
 
 #include <atomic>
-#include <unordered_map>
 
 #include "common/macros.h"
 #include "core/polynomial_set.h"
@@ -11,36 +10,62 @@ namespace provabs {
 
 CompiledPolynomialSet CompiledPolynomialSet::Compile(
     const PolynomialSet& polys) {
+  return Extend(CompiledPolynomialSet(), polys);
+}
+
+CompiledPolynomialSet CompiledPolynomialSet::Extend(
+    const CompiledPolynomialSet& prefix, const PolynomialSet& polys) {
   // Fingerprints start at 1 so 0 unambiguously means "never compiled"
   // (default-constructed forms and valuations).
   static std::atomic<uint64_t> next_fingerprint{1};
-  CompiledPolynomialSet out;
-  out.fingerprint_ = next_fingerprint.fetch_add(1, std::memory_order_relaxed);
-  const size_t size_m = polys.SizeM();
+  const size_t first = prefix.poly_count();
+  PROVABS_CHECK(first <= polys.count());
+  size_t monomials = prefix.monomial_count();
+  size_t factors = prefix.factor_count();
+  for (size_t p = first; p < polys.count(); ++p) {
+    for (const Monomial& m : polys[p].monomials()) {
+      ++monomials;
+      factors += m.factors().size();
+    }
+  }
   // The CSR offsets are 32-bit; provenance sets here are far below 4G
   // monomials (the serving layer's byte budget caps them long before).
-  PROVABS_CHECK(size_m < 0xFFFFFFFFu);
+  PROVABS_CHECK(monomials < 0xFFFFFFFFu && factors < 0xFFFFFFFFu);
 
+  CompiledPolynomialSet out;
+  out.fingerprint_ = next_fingerprint.fetch_add(1, std::memory_order_relaxed);
   out.poly_offsets_.reserve(polys.count() + 1);
-  out.mono_offsets_.reserve(size_m + 1);
-  out.coefficients_.reserve(size_m);
-
-  out.poly_offsets_.push_back(0);
-  out.mono_offsets_.push_back(0);
-  // Build-time only: slots resolve through slot_vars_ afterwards, so the
-  // inverse map is not retained (cached compiled forms stay lean).
-  std::unordered_map<VariableId, uint32_t> var_slots;
-  for (const Polynomial& poly : polys.polynomials()) {
-    for (const Monomial& m : poly.monomials()) {
+  out.mono_offsets_.reserve(monomials + 1);
+  out.coefficients_.reserve(monomials);
+  out.factor_slots_.reserve(factors);
+  out.factor_exps_.reserve(factors);
+  if (first == 0) {
+    out.poly_offsets_.push_back(0);
+    out.mono_offsets_.push_back(0);
+  } else {
+    auto append = [](auto& to, const auto& from) {
+      to.insert(to.end(), from.begin(), from.end());
+    };
+    append(out.poly_offsets_, prefix.poly_offsets_);
+    append(out.mono_offsets_, prefix.mono_offsets_);
+    append(out.coefficients_, prefix.coefficients_);
+    append(out.factor_slots_, prefix.factor_slots_);
+    append(out.factor_exps_, prefix.factor_exps_);
+    out.slot_vars_ = prefix.slot_vars_;
+    out.slot_of_ = prefix.slot_of_;
+  }
+  for (size_t p = first; p < polys.count(); ++p) {
+    for (const Monomial& m : polys[p].monomials()) {
       out.coefficients_.push_back(m.coefficient());
       for (const Factor& f : m.factors()) {
-        auto [it, inserted] = var_slots.emplace(
+        // try_emplace probes before allocating a node; emplace would
+        // allocate (and free) one per factor.
+        auto [it, inserted] = out.slot_of_.try_emplace(
             f.var, static_cast<uint32_t>(out.slot_vars_.size()));
         if (inserted) out.slot_vars_.push_back(f.var);
         out.factor_slots_.push_back(it->second);
         out.factor_exps_.push_back(f.exp);
       }
-      PROVABS_CHECK(out.factor_slots_.size() < 0xFFFFFFFFu);
       out.mono_offsets_.push_back(
           static_cast<uint32_t>(out.factor_slots_.size()));
     }
@@ -90,6 +115,9 @@ size_t CompiledPolynomialSet::ApproxBytes() const {
   bytes += factor_slots_.capacity() * sizeof(uint32_t);
   bytes += factor_exps_.capacity() * sizeof(uint32_t);
   bytes += slot_vars_.capacity() * sizeof(VariableId);
+  // One hash node (key, slot, next pointer, cached hash) per variable plus
+  // the bucket array.
+  bytes += slot_of_.size() * 32 + slot_of_.bucket_count() * sizeof(void*);
   return bytes;
 }
 

@@ -1,8 +1,10 @@
 #ifndef PROVABS_CORE_COMPILED_POLYNOMIAL_SET_H_
 #define PROVABS_CORE_COMPILED_POLYNOMIAL_SET_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "core/variable.h"
@@ -60,7 +62,10 @@ class DenseValuation {
 ///
 /// Slots are dense indices assigned at compile time in first-appearance
 /// order; `MaterializeValuation` resolves a scenario's hash map into a
-/// slot-indexed array once per valuation instead of once per factor.
+/// slot-indexed array once per valuation instead of once per factor. The
+/// variable -> slot index is retained, so `SlotOf` answers "does this
+/// variable occur?" in O(1) and `Extend` can grow a form without
+/// recompiling its prefix.
 ///
 /// Evaluation reproduces the canonical summation order of
 /// `Valuation::Evaluate` operation-for-operation (monomials left to right,
@@ -68,16 +73,26 @@ class DenseValuation {
 /// are bitwise identical to the naive path — differential tests assert
 /// exact equality, not tolerance.
 ///
-/// Instances are immutable after `Compile` and safe to share across
-/// threads.
+/// Instances are immutable after `Compile`/`Extend` (apart from the
+/// relaxed routing counter below) and safe to share across threads.
 class CompiledPolynomialSet {
  public:
   CompiledPolynomialSet() = default;
 
   /// Flattens `polys`. The compiled form is a snapshot: later mutation of
   /// `polys` is not reflected (PolynomialSet's lazy `Compiled()` cache
-  /// handles invalidation for the common route).
+  /// grows it on the common route).
   static CompiledPolynomialSet Compile(const PolynomialSet& polys);
+
+  /// `prefix` grown by polynomials [prefix.poly_count(), polys.count()) of
+  /// `polys`, whose first prefix.poly_count() polynomials must be the ones
+  /// `prefix` was compiled from (PolynomialSet::Add keeps its snapshot as
+  /// such a prefix). Copies the prefix's arrays and slot index and gives
+  /// variables new to the suffix the next slots in first-appearance order,
+  /// so the result is bitwise identical to Compile(polys), under a fresh
+  /// fingerprint: valuations of the prefix stay tied to the prefix.
+  static CompiledPolynomialSet Extend(const CompiledPolynomialSet& prefix,
+                                      const PolynomialSet& polys);
 
   /// Number of polynomials (matches the source set's count()).
   size_t poly_count() const {
@@ -93,6 +108,14 @@ class CompiledPolynomialSet {
 
   /// slot -> VariableId, in slot order.
   const std::vector<VariableId>& slot_variables() const { return slot_vars_; }
+
+  static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
+
+  /// The slot of `var`, or kNoSlot when it occurs in no polynomial.
+  uint32_t SlotOf(VariableId var) const {
+    auto it = slot_of_.find(var);
+    return it == slot_of_.end() ? kNoSlot : it->second;
+  }
 
   /// Process-unique id of this compiled form, assigned by `Compile` (0 only
   /// for a default-constructed instance). Two forms compiled from
@@ -168,14 +191,41 @@ class CompiledPolynomialSet {
   /// Rough resident size, for the serving layer's byte-budget accounting.
   size_t ApproxBytes() const;
 
+  /// Adds `n` to the scenarios this snapshot has served on backends
+  /// without a one-time per-snapshot cost. Auto-routing
+  /// (EvaluationBackendRegistry::ResolveForBatch) reads the count to emit
+  /// jit code only for snapshots that have shown enough traffic to repay
+  /// the emission. Relaxed: the count steers routing, never results.
+  void CountInterpretedScenarios(uint64_t n) const {
+    interpreted_scenarios_.value.fetch_add(n, std::memory_order_relaxed);
+  }
+  uint64_t interpreted_scenarios() const {
+    return interpreted_scenarios_.value.load(std::memory_order_relaxed);
+  }
+
  private:
+  /// A relaxed atomic that copies as its current value, so the form keeps
+  /// its value semantics.
+  struct RelaxedCounter {
+    RelaxedCounter() = default;
+    RelaxedCounter(const RelaxedCounter& other) : value(other.load()) {}
+    RelaxedCounter& operator=(const RelaxedCounter& other) {
+      value.store(other.load(), std::memory_order_relaxed);
+      return *this;
+    }
+    uint64_t load() const { return value.load(std::memory_order_relaxed); }
+    mutable std::atomic<uint64_t> value{0};
+  };
+
   std::vector<uint32_t> poly_offsets_;  // size poly_count()+1
   std::vector<uint32_t> mono_offsets_;  // size monomial_count()+1
   std::vector<double> coefficients_;    // per monomial
   std::vector<uint32_t> factor_slots_;  // per factor
   std::vector<uint32_t> factor_exps_;   // per factor
   std::vector<VariableId> slot_vars_;   // slot -> variable
+  std::unordered_map<VariableId, uint32_t> slot_of_;  // variable -> slot
   uint64_t fingerprint_ = 0;            // see fingerprint()
+  RelaxedCounter interpreted_scenarios_;
 };
 
 }  // namespace provabs

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "common/macros.h"
@@ -321,12 +322,16 @@ StatusOr<const EvaluationBackend*> EvaluationBackendRegistry::Resolve(
 }
 
 StatusOr<const EvaluationBackend*> EvaluationBackendRegistry::ResolveForBatch(
-    const std::string& name, size_t batch_size) const {
+    const std::string& name, size_t batch_size,
+    const CompiledPolynomialSet* snapshot) const {
   if (!name.empty()) return Resolve(name);
   std::lock_guard<std::mutex> lock(mutex_);
   if (by_name_.empty()) {
     return Status::InvalidArgument("no evaluation backends registered");
   }
+  const uint64_t served = snapshot != nullptr
+                              ? snapshot->interpreted_scenarios()
+                              : std::numeric_limits<uint64_t>::max();
   // Highest available tier among backends that already pay off at this
   // batch size: jit > simd_batch > compiled > naive with the built-ins.
   // (The old policy considered only vectorized backends, which would
@@ -337,7 +342,10 @@ StatusOr<const EvaluationBackend*> EvaluationBackendRegistry::ResolveForBatch(
   const std::string* best_name = nullptr;
   for (const auto& [key, backend] : by_name_) {
     const EvaluationBackendInfo& info = backend->info();
-    if (info.preferred_batch > batch_size || !backend->Available()) continue;
+    if (info.preferred_batch > batch_size ||
+        info.break_even_scenarios > served || !backend->Available()) {
+      continue;
+    }
     if (best == nullptr) {
       best = backend.get();
       best_name = &key;
@@ -363,11 +371,15 @@ StatusOr<const EvaluationBackend*> EvaluationBackendRegistry::ResolveForBatch(
       best_name = &key;
     }
   }
-  if (best != nullptr) return best;
-  auto it = by_name_.find("compiled");
-  if (it != by_name_.end()) return static_cast<const EvaluationBackend*>(
-      it->second.get());
-  return static_cast<const EvaluationBackend*>(by_name_.begin()->second.get());
+  if (best == nullptr) {
+    auto it = by_name_.find("compiled");
+    best = it != by_name_.end() ? it->second.get()
+                                : by_name_.begin()->second.get();
+  }
+  if (snapshot != nullptr && best->info().break_even_scenarios == 0) {
+    snapshot->CountInterpretedScenarios(batch_size);
+  }
+  return best;
 }
 
 std::vector<std::string> EvaluationBackendRegistry::Names() const {

@@ -57,6 +57,12 @@ struct EvaluationBackendInfo {
   /// compiled=1, simd_batch=2, jit=3 — the jit > simd_batch > compiled
   /// preference order ResolveForBatch documents.
   uint32_t tier = 0;
+  /// Scenarios a compiled snapshot must have served on backends without a
+  /// one-time cost before auto-routing picks this one for it: the backend's
+  /// per-snapshot setup (jit emission) over its per-scenario saving. 0 =
+  /// no setup cost (naive, compiled, simd_batch). Not part of the wire
+  /// capability record.
+  uint64_t break_even_scenarios = 0;
 };
 
 /// One evaluation strategy. Implementations must be stateless and
@@ -150,8 +156,18 @@ class EvaluationBackendRegistry {
   /// name, so routing is deterministic. Falls back to "compiled" when
   /// nothing is eligible (and to any registered backend if "compiled" was
   /// not registered — an empty registry is the only hard failure).
-  StatusOr<const EvaluationBackend*> ResolveForBatch(const std::string& name,
-                                                     size_t batch_size) const;
+  ///
+  /// With a `snapshot` (the compiled form the batch will run on), a
+  /// backend with a break_even_scenarios cost is eligible only once the
+  /// snapshot has served that many scenarios elsewhere, and a batch routed
+  /// to a cost-free backend adds its width to the snapshot's count
+  /// (CompiledPolynomialSet::CountInterpretedScenarios). A short-lived
+  /// snapshot thus never pays a jit emission it cannot repay, while a
+  /// long-lived one crosses over after its first ~100 scenarios. Without
+  /// a snapshot, routing ignores break-even costs.
+  StatusOr<const EvaluationBackend*> ResolveForBatch(
+      const std::string& name, size_t batch_size,
+      const CompiledPolynomialSet* snapshot = nullptr) const;
 
   /// Registered names in sorted order.
   std::vector<std::string> Names() const;

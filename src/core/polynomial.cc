@@ -7,39 +7,53 @@ namespace provabs {
 Polynomial Polynomial::FromMonomials(std::vector<Monomial> terms,
                                      CoefficientCombine combine) {
   std::sort(terms.begin(), terms.end(), Monomial::PowerProductLess);
-  Polynomial p;
-  p.monomials_.reserve(terms.size());
-  for (Monomial& m : terms) {
-    if (!p.monomials_.empty() &&
-        p.monomials_.back().SamePowerProduct(m)) {
-      Monomial& acc = p.monomials_.back();
+  // Merge equal power products in place: terms[0, kept) is the canonical
+  // prefix built so far.
+  size_t kept = 0;
+  for (size_t i = 0; i < terms.size(); ++i) {
+    if (kept > 0 && terms[kept - 1].SamePowerProduct(terms[i])) {
+      Monomial& acc = terms[kept - 1];
+      const double c = terms[i].coefficient();
       switch (combine) {
         case CoefficientCombine::kAdd:
-          acc.add_to_coefficient(m.coefficient());
+          acc.add_to_coefficient(c);
           break;
         case CoefficientCombine::kMin:
-          acc.set_coefficient(std::min(acc.coefficient(), m.coefficient()));
+          acc.set_coefficient(std::min(acc.coefficient(), c));
           break;
         case CoefficientCombine::kMax:
-          acc.set_coefficient(std::max(acc.coefficient(), m.coefficient()));
+          acc.set_coefficient(std::max(acc.coefficient(), c));
           break;
       }
-    } else {
-      p.monomials_.push_back(std::move(m));
+      continue;
     }
+    if (kept != i) terms[kept] = std::move(terms[i]);
+    ++kept;
   }
+  terms.resize(kept);
   if (combine == CoefficientCombine::kAdd) {
     // Drop monomials whose coefficients cancelled exactly to zero. With the
     // positive coefficients arising from provenance this never fires
     // (Claim 25 in the paper), but the polynomial algebra stays correct in
     // general. Under kMin/kMax a zero coefficient is a real value.
-    p.monomials_.erase(
-        std::remove_if(
-            p.monomials_.begin(), p.monomials_.end(),
-            [](const Monomial& m) { return m.coefficient() == 0.0; }),
-        p.monomials_.end());
+    terms.erase(std::remove_if(terms.begin(), terms.end(),
+                               [](const Monomial& m) {
+                                 return m.coefficient() == 0.0;
+                               }),
+                terms.end());
+  }
+  Polynomial p;
+  if (!terms.empty()) {
+    p.monomials_ =
+        std::make_shared<const std::vector<Monomial>>(std::move(terms));
   }
   return p;
+}
+
+const std::vector<Monomial>& Polynomial::NoMonomials() {
+  static const std::vector<Monomial>* const kNone =
+      new std::vector<Monomial>();
+  return *kNone;
 }
 
 std::unordered_set<VariableId> Polynomial::Variables() const {
@@ -51,7 +65,7 @@ std::unordered_set<VariableId> Polynomial::Variables() const {
 size_t Polynomial::SizeV() const { return Variables().size(); }
 
 void Polynomial::CollectVariables(std::unordered_set<VariableId>& out) const {
-  for (const Monomial& m : monomials_) {
+  for (const Monomial& m : monomials()) {
     for (const Factor& f : m.factors()) out.insert(f.var);
   }
 }
@@ -60,25 +74,25 @@ Polynomial Polynomial::MapVariables(
     const std::function<VariableId(VariableId)>& map,
     CoefficientCombine combine) const {
   std::vector<Monomial> mapped;
-  mapped.reserve(monomials_.size());
-  for (const Monomial& m : monomials_) mapped.push_back(m.MapVariables(map));
+  mapped.reserve(monomials().size());
+  for (const Monomial& m : monomials()) mapped.push_back(m.MapVariables(map));
   return FromMonomials(std::move(mapped), combine);
 }
 
 bool Polynomial::Mentions(VariableId var) const {
-  for (const Monomial& m : monomials_) {
+  for (const Monomial& m : monomials()) {
     if (m.Contains(var)) return true;
   }
   return false;
 }
 
 bool operator==(const Polynomial& a, const Polynomial& b) {
-  if (a.monomials_.size() != b.monomials_.size()) return false;
-  for (size_t i = 0; i < a.monomials_.size(); ++i) {
-    if (!a.monomials_[i].SamePowerProduct(b.monomials_[i])) return false;
-    if (a.monomials_[i].coefficient() != b.monomials_[i].coefficient()) {
-      return false;
-    }
+  const std::vector<Monomial>& am = a.monomials();
+  const std::vector<Monomial>& bm = b.monomials();
+  if (am.size() != bm.size()) return false;
+  for (size_t i = 0; i < am.size(); ++i) {
+    if (!am[i].SamePowerProduct(bm[i])) return false;
+    if (am[i].coefficient() != bm[i].coefficient()) return false;
   }
   return true;
 }
@@ -114,11 +128,12 @@ Polynomial VariablePolynomial(VariableId var, double coefficient) {
 }
 
 std::string Polynomial::ToString(const VariableTable& vars) const {
-  if (monomials_.empty()) return "0";
+  const std::vector<Monomial>& terms = monomials();
+  if (terms.empty()) return "0";
   std::string s;
-  for (size_t i = 0; i < monomials_.size(); ++i) {
+  for (size_t i = 0; i < terms.size(); ++i) {
     if (i > 0) s += " + ";
-    s += monomials_[i].ToString(vars);
+    s += terms[i].ToString(vars);
   }
   return s;
 }

@@ -2,6 +2,7 @@
 #define PROVABS_CORE_POLYNOMIAL_H_
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -37,10 +38,12 @@ class Polynomial {
       CoefficientCombine combine = CoefficientCombine::kAdd);
 
   /// The canonical monomial list M(P).
-  const std::vector<Monomial>& monomials() const { return monomials_; }
+  const std::vector<Monomial>& monomials() const {
+    return monomials_ != nullptr ? *monomials_ : NoMonomials();
+  }
 
   /// |P|_M — the number of monomials, the paper's size measure.
-  size_t SizeM() const { return monomials_.size(); }
+  size_t SizeM() const { return monomials().size(); }
 
   /// V(P) — the set of distinct variables.
   std::unordered_set<VariableId> Variables() const;
@@ -70,7 +73,13 @@ class Polynomial {
   std::string ToString(const VariableTable& vars) const;
 
  private:
-  std::vector<Monomial> monomials_;
+  static const std::vector<Monomial>& NoMonomials();
+
+  /// The monomial list, immutable once built and therefore shared by
+  /// copies: copying a set of polynomials (an artifact's next generation,
+  /// a view grown by an append) costs one reference per polynomial, not
+  /// one allocation per monomial. Null for the zero polynomial.
+  std::shared_ptr<const std::vector<Monomial>> monomials_;
 };
 
 /// Polynomial ring operations, used by the provenance-annotated query

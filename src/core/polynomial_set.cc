@@ -72,9 +72,6 @@ void PolynomialSet::Add(Polynomial p) {
   }
   delta_log_.push_back(std::move(entry));
   polys_.push_back(std::move(p));
-  std::atomic_store_explicit(
-      &compiled_, std::shared_ptr<const CompiledPolynomialSet>(),
-      std::memory_order_release);
 }
 
 PolynomialSetDelta PolynomialSet::DeltaSince(uint64_t from_revision) const {
@@ -111,13 +108,17 @@ PolynomialSetDelta PolynomialSet::DeltaSince(uint64_t from_revision) const {
 std::shared_ptr<const CompiledPolynomialSet> PolynomialSet::Compiled() const {
   std::shared_ptr<const CompiledPolynomialSet> cached =
       std::atomic_load_explicit(&compiled_, std::memory_order_acquire);
-  if (cached != nullptr) return cached;
+  if (cached != nullptr && cached->poly_count() == polys_.size()) {
+    return cached;
+  }
   // Racing compilers each build an identical (deterministic) form; the last
   // store wins and the losers' snapshots remain valid. Compilation is one
   // linear pass, so duplicate work on a race is cheaper than a per-set
-  // mutex on the hot path.
+  // mutex on the hot path. A prefix snapshot left by Add is grown, not
+  // recompiled.
   auto built = std::make_shared<const CompiledPolynomialSet>(
-      CompiledPolynomialSet::Compile(*this));
+      cached != nullptr ? CompiledPolynomialSet::Extend(*cached, *this)
+                        : CompiledPolynomialSet::Compile(*this));
   std::atomic_store_explicit(
       &compiled_, std::shared_ptr<const CompiledPolynomialSet>(built),
       std::memory_order_release);

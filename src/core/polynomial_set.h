@@ -52,16 +52,17 @@ class PolynomialSet {
       : polys_(std::move(polys)) {}
 
   // Value semantics are preserved; the lazily compiled evaluation form is
-  // immutable and valid for any set with identical polynomials, so copies
-  // share it and moves carry it.
+  // immutable and valid for any set whose polynomials start with the ones
+  // it was compiled from, so copies share it and moves carry it.
   PolynomialSet(const PolynomialSet& other);
   PolynomialSet& operator=(const PolynomialSet& other);
   PolynomialSet(PolynomialSet&& other) noexcept;
   PolynomialSet& operator=(PolynomialSet&& other) noexcept;
 
-  /// Appends one polynomial (one more output tuple's annotation).
-  /// Invalidates any previously compiled evaluation form, bumps the
-  /// revision, and records the append in the bounded delta log.
+  /// Appends one polynomial (one more output tuple's annotation). Bumps
+  /// the revision and records the append in the bounded delta log. A
+  /// compiled evaluation form now covers a prefix of the set; the next
+  /// `Compiled()` extends it instead of recompiling.
   void Add(Polynomial p);
 
   /// Monotone mutation counter: 0 for a freshly constructed set (including
@@ -99,11 +100,14 @@ class PolynomialSet {
       CoefficientCombine combine = CoefficientCombine::kAdd) const;
 
   /// The set flattened into the CSR evaluation form
-  /// (core/compiled_polynomial_set.h), compiled on first call and cached;
-  /// `Add` invalidates the cache. Thread-safe: concurrent callers may race
-  /// to compile, but compilation is deterministic, every caller gets a
-  /// valid snapshot, and the returned shared_ptr stays alive independently
-  /// of this set's further mutation or destruction.
+  /// (core/compiled_polynomial_set.h), compiled on first call and cached.
+  /// After `Add`s the cached snapshot is a prefix, and this grows it by the
+  /// appended polynomials (CompiledPolynomialSet::Extend): bitwise the
+  /// arrays of a cold compile, under a new fingerprint. Thread-safe:
+  /// concurrent callers may race to compile, but compilation is
+  /// deterministic, every caller gets a valid snapshot, and the returned
+  /// shared_ptr stays alive independently of this set's further mutation
+  /// or destruction.
   std::shared_ptr<const CompiledPolynomialSet> Compiled() const;
 
  private:
@@ -116,9 +120,10 @@ class PolynomialSet {
   };
 
   std::vector<Polynomial> polys_;
-  /// Lazily compiled evaluation form; accessed only through the
-  /// std::atomic_* shared_ptr free functions (C++17's pre-atomic<shared_ptr>
-  /// idiom) so readers never see a torn pointer.
+  /// Lazily compiled evaluation form of polys_ or, after Adds, of a prefix
+  /// of it; accessed only through the std::atomic_* shared_ptr free
+  /// functions (C++17's pre-atomic<shared_ptr> idiom) so readers never see
+  /// a torn pointer.
   mutable std::shared_ptr<const CompiledPolynomialSet> compiled_;
   uint64_t revision_ = 0;
   /// Ring of the last kDeltaLogCapacity appends, oldest first.

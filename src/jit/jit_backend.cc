@@ -25,7 +25,7 @@ const EvaluationBackendInfo& JitBackend::info() const {
       "fingerprint-cached; falls back to the compiled kernel where "
       "executable memory is unavailable)",
       /*vectorized=*/false, /*deterministic=*/true, /*preferred_batch=*/1,
-      /*tier=*/3};
+      /*tier=*/3, /*break_even_scenarios=*/kJitBreakEvenScenarios};
   return kInfo;
 }
 

@@ -23,6 +23,23 @@ bool JitForceDisabled();
 /// systems and non-x86-64 builds).
 bool JitNativeActive();
 
+/// Scenarios a compiled snapshot serves on the interpreted kernels before
+/// auto-routing sends it to the jit (EvaluationBackendInfo::
+/// break_even_scenarios). Emission is a one-time cost per snapshot, and
+/// every width-1 scenario the jit then serves saves the compiled kernel's
+/// extra time, so the break-even point is emission time over that saving.
+/// On the four servebench views (`bench_serve --trace 1`, seed 1: jit.emit_us
+/// over backend.compiled minus backend.jit us_per_scenario.w1) it is
+/// 858/12.8 = 67 (evaluate-compressed), 5,313/66.5 = 80 (scenario-sweep),
+/// 8,603/82.5 = 104 (compress-cold) and 6,442/66.5 = 97 (append-mixed)
+/// scenarios; bench_evaluate_kernel's four workloads (JITSTAT emit_ms, a
+/// fresh emission, over the per-scenario compiled-minus-jit time) give
+/// 59-149 across three runs. One constant near the top of that range emits
+/// only for snapshots that have shown they are read often: append-mixed's
+/// views, replaced after about 10 reads each, stay interpreted, while views
+/// that live for thousands of reads cross over within their first 100.
+inline constexpr uint64_t kJitBreakEvenScenarios = 100;
+
 /// The top evaluation tier: emits one straight-line native function per
 /// polynomial of the compiled artifact (jit/code_generator.h), cached by
 /// compiled-form fingerprint (jit/code_cache.h), and calls it per

@@ -10,6 +10,8 @@
 namespace provabs {
 
 size_t ApproxPolynomialSetBytes(const PolynomialSet& polys) {
+  // Monomial lists a set shares with other generations are charged to
+  // every holder, so the estimate errs high.
   size_t bytes = sizeof(PolynomialSet);
   for (const Polynomial& p : polys.polynomials()) {
     bytes += 64;  // Polynomial object + vector headers.
@@ -30,7 +32,6 @@ namespace {
 
 size_t ApproxArtifactBytes(const Artifact& artifact) {
   size_t bytes = ApproxPolynomialSetBytes(artifact.polys);
-  bytes += artifact.polys_bytes.size();
   bytes += artifact.vars->size() * 48;  // interner strings + index entries
   for (const auto& [name, forest] : artifact.forests) {
     bytes += name.size() + forest.TotalNodes() * 64;
@@ -123,7 +124,8 @@ StatusOr<std::shared_ptr<const Artifact>> ArtifactStore::Load(
   // One load at a time: the read-merge-install cycle below must not
   // interleave with another load of the same artifact (lost update).
   std::lock_guard<std::mutex> load_lock(load_mutex_);
-  // Forest-only loads rebuild on top of the existing artifact's raw bytes.
+  // Forest-only loads rebuild the existing artifact's current polynomials
+  // and raw forest bytes into a fresh table.
   std::map<std::string, std::string> forest_bytes;
   if (polys_bytes.empty()) {
     std::shared_ptr<const Artifact> existing = Get(name);
@@ -131,7 +133,7 @@ StatusOr<std::shared_ptr<const Artifact>> ArtifactStore::Load(
       return Status::NotFound("artifact '" + name +
                               "' not loaded (a first load needs polynomials)");
     }
-    polys_bytes = existing->polys_bytes;
+    polys_bytes = SerializePolynomialSet(existing->polys, *existing->vars);
     forest_bytes = existing->forest_bytes;
   }
   for (const auto& [forest_name, bytes] : forests) {
@@ -145,7 +147,6 @@ StatusOr<std::shared_ptr<const Artifact>> ArtifactStore::Load(
   auto polys = DeserializePolynomialSet(polys_bytes, *artifact->vars);
   if (!polys.ok()) return polys.status();
   artifact->polys = std::move(*polys);
-  artifact->polys_bytes = std::move(polys_bytes);
   for (auto& [forest_name, bytes] : forest_bytes) {
     auto forest = DeserializeForest(bytes, *artifact->vars);
     if (!forest.ok()) return forest.status();
@@ -183,28 +184,22 @@ StatusOr<std::shared_ptr<const Artifact>> ArtifactStore::Append(
   // Artifacts are immutable once published, so the append builds a fresh
   // one. The VariableTable is move-only; re-interning the predecessor's
   // names in id order reproduces the exact same dense ids, so the copied
-  // polynomials and the re-deserialized forests stay consistent.
+  // polynomials and forests stay consistent with it.
   auto artifact = std::make_shared<Artifact>();
   artifact->vars = std::make_shared<VariableTable>();
   for (VariableId id = 0; id < existing->vars->size(); ++id) {
     artifact->vars->Intern(existing->vars->NameOf(id));
   }
-  artifact->polys = existing->polys;  // carries revision + delta log
   auto added = DeserializePolynomialSet(polys_bytes, *artifact->vars);
   if (!added.ok()) return added.status();
+  // The copy carries the revision, the delta log and the compiled snapshot,
+  // which the Adds leave as a prefix for the byte estimate below to grow.
+  artifact->polys = existing->polys;
   for (const Polynomial& p : added->polynomials()) {
     artifact->polys.Add(p);
   }
-  for (const auto& [forest_name, bytes] : existing->forest_bytes) {
-    auto forest = DeserializeForest(bytes, *artifact->vars);
-    if (!forest.ok()) return forest.status();
-    artifact->forests.emplace(forest_name, std::move(*forest));
-  }
+  artifact->forests = existing->forests;
   artifact->forest_bytes = existing->forest_bytes;
-  // Re-serialize the combined set so forest-only Loads (which rebuild from
-  // raw bytes) keep working on top of appended artifacts.
-  artifact->polys_bytes =
-      SerializePolynomialSet(artifact->polys, *artifact->vars);
   artifact->ancestry = existing->ancestry;
   artifact->ancestry.push_back(
       Artifact::Ancestor{existing->generation, existing->polys.revision()});
@@ -318,7 +313,8 @@ std::shared_ptr<const scenario::ScenarioProgram> ArtifactStore::InsertProgram(
 StatusOr<std::shared_ptr<const ArtifactStore::CompressedResult>>
 ArtifactStore::GetOrCompute(const ResultKey& key,
                             const ResultComputeFn& compute,
-                            GetOrComputeInfo* info) {
+                            GetOrComputeInfo* info,
+                            const std::vector<uint64_t>& superseded) {
   // One key encoding serves the lookup, the in-flight slot, the post-claim
   // re-check, and the insert — this is the serving hot path.
   const std::string slot_key = ResultSlotKey(key);
@@ -340,8 +336,18 @@ ArtifactStore::GetOrCompute(const ResultKey& key,
         }
         StatusOr<CompressedResult> computed = compute();
         if (!computed.ok()) return {computed.status(), nullptr};
-        return {Status::OK(),
-                InsertResultSlot(slot_key, std::move(*computed))};
+        std::shared_ptr<const CompressedResult> published =
+            InsertResultSlot(slot_key, std::move(*computed));
+        ResultKey old_key = key;
+        for (uint64_t generation : superseded) {
+          old_key.generation = generation;
+          const std::string old_slot = ResultSlotKey(old_key);
+          Shard& shard = ShardFor(old_slot);
+          std::lock_guard<std::mutex> lock(shard.mutex);
+          auto it = shard.slots.find(old_slot);
+          if (it != shard.slots.end()) EraseSlot(shard, it);
+        }
+        return {Status::OK(), std::move(published)};
       },
       &deduped);
   if (info != nullptr) {
@@ -381,17 +387,19 @@ std::atomic<uint64_t>& ArtifactStore::CountFor(const Slot& slot) {
   return result_count_;
 }
 
+void ArtifactStore::EraseSlot(
+    Shard& shard, std::unordered_map<std::string, Slot>::iterator it) {
+  shard.used_bytes -= it->second.bytes;
+  used_bytes_total_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
+  CountFor(it->second).fetch_sub(1, std::memory_order_relaxed);
+  shard.lru.erase(it->second.lru_it);
+  shard.slots.erase(it);
+}
+
 void ArtifactStore::InsertSlot(Shard& shard, const std::string& slot_key,
                                Slot slot) {
   auto it = shard.slots.find(slot_key);
-  if (it != shard.slots.end()) {
-    shard.used_bytes -= it->second.bytes;
-    used_bytes_total_.fetch_sub(it->second.bytes,
-                                std::memory_order_relaxed);
-    CountFor(it->second).fetch_sub(1, std::memory_order_relaxed);
-    shard.lru.erase(it->second.lru_it);
-    shard.slots.erase(it);
-  }
+  if (it != shard.slots.end()) EraseSlot(shard, it);
   shard.lru.push_front(slot_key);
   slot.lru_it = shard.lru.begin();
   shard.used_bytes += slot.bytes;
@@ -403,14 +411,7 @@ void ArtifactStore::InsertSlot(Shard& shard, const std::string& slot_key,
 
 void ArtifactStore::EvictToBudget(Shard& shard) {
   while (shard.used_bytes > shard.byte_budget && shard.slots.size() > 1) {
-    const std::string& victim = shard.lru.back();
-    auto it = shard.slots.find(victim);
-    shard.used_bytes -= it->second.bytes;
-    used_bytes_total_.fetch_sub(it->second.bytes,
-                                std::memory_order_relaxed);
-    CountFor(it->second).fetch_sub(1, std::memory_order_relaxed);
-    shard.slots.erase(it);
-    shard.lru.pop_back();
+    EraseSlot(shard, shard.slots.find(shard.lru.back()));
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 }

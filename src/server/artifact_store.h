@@ -27,8 +27,10 @@ namespace provabs {
 /// A named, immutable-after-load provenance artifact resident in the server:
 /// the deserialized polynomial set, the abstraction forests defined over it,
 /// and the VariableTable both share (compression requires polynomials and
-/// forest to agree on ids). The raw serialized buffers are retained so a
-/// later forest-only load can rebuild the bundle into a fresh table.
+/// forest to agree on ids). The raw forest buffers are retained so a later
+/// forest-only load can rebuild the bundle into a fresh table; that rare
+/// load serializes the current polynomials instead of every Append keeping
+/// a serialized copy of the whole set.
 ///
 /// Artifacts are exposed as `shared_ptr<const Artifact>`: once handed out
 /// they are never mutated, so concurrent request threads may read them
@@ -43,7 +45,6 @@ struct Artifact {
   uint64_t generation = 0;
   std::shared_ptr<VariableTable> vars;
   PolynomialSet polys;
-  std::string polys_bytes;
   std::map<std::string, AbstractionForest> forests;
   std::map<std::string, std::string> forest_bytes;
   size_t approx_bytes = 0;
@@ -123,8 +124,8 @@ class ArtifactStore {
   /// Deserializes and installs artifact `name`, replacing any previous
   /// version. `forests` pairs forest names with serialized forest buffers.
   /// When `polys_bytes` is empty, the artifact must already exist: its
-  /// polynomials and previously loaded forests are rebuilt into a fresh
-  /// VariableTable and the new forests merged in.
+  /// current polynomials (appends included) and previously loaded forests
+  /// are rebuilt into a fresh VariableTable and the new forests merged in.
   StatusOr<std::shared_ptr<const Artifact>> Load(
       const std::string& name, std::string polys_bytes,
       const std::vector<std::pair<std::string, std::string>>& forests);
@@ -135,7 +136,10 @@ class ArtifactStore {
   /// the update — so a later compression of the new generation can patch a
   /// cached predecessor's DP state instead of re-running (see
   /// ProvenanceService::CompressInternal). The previous Artifact object is
-  /// untouched; in-flight requests holding it are unaffected.
+  /// untouched; in-flight requests holding it are unaffected. Apart from
+  /// copying the set and re-interning the variable table, the cost is the
+  /// delta's: forests are copied, not re-deserialized, and the compiled
+  /// form grows by the appended polynomials instead of recompiling.
   StatusOr<std::shared_ptr<const Artifact>> Append(
       const std::string& name, const std::string& polys_bytes);
 
@@ -205,9 +209,16 @@ class ArtifactStore {
   /// being published to waiters; a failure is returned as its Status to the
   /// leader and every waiter, and is never cached — the next non-concurrent
   /// request retries from scratch.
+  ///
+  /// Publishing also erases the results cached for `superseded`
+  /// generations under the same artifact, forest, bound and algo: the
+  /// artifact's ancestry, whose results no request can reach any more
+  /// (requests resolve the current artifact, and the patch path probes the
+  /// newest cached ancestor first, which is now `key` itself).
   StatusOr<std::shared_ptr<const CompressedResult>> GetOrCompute(
       const ResultKey& key, const ResultComputeFn& compute,
-      GetOrComputeInfo* info = nullptr);
+      GetOrComputeInfo* info = nullptr,
+      const std::vector<uint64_t>& superseded = {});
 
   /// Identity of one compiled scenario program: the target view it was
   /// analyzed against (artifact + generation, and for compressed targets
@@ -310,6 +321,10 @@ class ArtifactStore {
   /// Installs/replaces a slot and evicts the shard down to its budget.
   /// Requires shard.mutex.
   void InsertSlot(Shard& shard, const std::string& slot_key, Slot slot);
+  /// Drops `it`'s slot and its byte and count charges. Requires
+  /// shard.mutex.
+  void EraseSlot(Shard& shard,
+                 std::unordered_map<std::string, Slot>::iterator it);
   /// Evicts the shard's LRU entries until within budget (keeping ≥1
   /// entry). Requires shard.mutex.
   void EvictToBudget(Shard& shard);

@@ -148,7 +148,7 @@ void EvaluateBatcher::RunBatch(
   for (auto& [key, group] : by_key) {
     const CompiledPolynomialSet* compiled = key.first;
     StatusOr<const EvaluationBackend*> resolved =
-        registry_->ResolveForBatch(key.second, group.items.size());
+        registry_->ResolveForBatch(key.second, group.items.size(), compiled);
     if (!resolved.ok()) {
       for (Pending* item : group.items) item->status = resolved.status();
       continue;

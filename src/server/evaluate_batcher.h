@@ -35,7 +35,10 @@ namespace provabs {
 /// backend) and each group is routed through the evaluation-backend
 /// registry (core/evaluation_backend.h) as ONE batch: concurrent analysts
 /// probing the same artifact become structure-of-arrays lanes for the
-/// simd_batch backend once the group reaches its preferred width. Each
+/// simd_batch backend once the group reaches its preferred width. Routing
+/// passes the group's compiled snapshot, so auto-routed groups reach the
+/// jit only once their snapshot has served its break-even number of
+/// scenarios on the interpreted kernels. Each
 /// group's polynomial range is chunked across the pool with every chunk
 /// carrying the whole scenario group, so lanes stay full at any pool
 /// width.

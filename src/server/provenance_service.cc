@@ -1,13 +1,17 @@
 #include "server/provenance_service.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "algo/compressor.h"
 #include "algo/optimal_single_tree.h"
 #include "algo/tradeoff_curve.h"
+#include "common/macros.h"
+#include "core/compiled_polynomial_set.h"
 #include "scenario/program.h"
 
 namespace provabs {
@@ -28,12 +32,22 @@ Status NoForest(const std::string& artifact, const std::string& forest) {
                           forest + "'");
 }
 
-/// The artifact fields Load, Append and Info report.
+/// The artifact fields Load, Append and Info report, read off the compiled
+/// form the store warmed (no scan of the polynomials).
 void SetShape(Response& resp, const Artifact& artifact) {
+  std::shared_ptr<const CompiledPolynomialSet> compiled =
+      artifact.polys.Compiled();
   resp.generation = artifact.generation;
-  resp.poly_count = artifact.polys.count();
-  resp.monomial_count = artifact.polys.SizeM();
-  resp.variable_count = artifact.polys.SizeV();
+  resp.poly_count = compiled->poly_count();
+  resp.monomial_count = compiled->monomial_count();
+  resp.variable_count = compiled->slot_count();
+}
+
+/// The chosen nodes in canonical order.
+std::vector<NodeRef> SortedCut(const ValidVariableSet& vvs) {
+  std::vector<NodeRef> nodes = vvs.nodes();
+  std::sort(nodes.begin(), nodes.end());
+  return nodes;
 }
 
 /// An explicit backend name is validated up front so a typo fails with the
@@ -136,6 +150,10 @@ ProvenanceService::ComputeCompression(
     const AbstractionForest& forest, const Compressor& compressor,
     const ArtifactStore::ResultKey& key) {
   std::optional<CompressionResult> result;
+  // The cached ancestor result a patch was computed from, and the index of
+  // the first polynomial appended since.
+  std::shared_ptr<const ArtifactStore::CompressedResult> base;
+  size_t first_added = 0;
   // Delta-patch path: probe cached ancestor generations (newest first) for
   // a result under the same (forest, bound, algo) whose retained DP tables
   // can be patched against the polynomials' delta log. A patched result is
@@ -169,10 +187,11 @@ ProvenanceService::ComputeCompression(
     delta_patched_.fetch_add(1, std::memory_order_relaxed);
     if (!attempt.ok()) return attempt.status();
     result = std::move(*attempt);
+    base = std::move(prev);
+    first_added = delta.first_added_index;
     break;
   }
-  const bool patched = result.has_value();
-  if (!patched) {
+  if (base == nullptr) {
     if (compress_hook_) compress_hook_(key);
     CompressOptions copts;
     copts.bound = key.bound;
@@ -184,11 +203,42 @@ ProvenanceService::ComputeCompression(
   ArtifactStore::CompressedResult computed;
   computed.loss = result->loss;
   computed.adequate = result->adequate;
-  computed.vvs_names = result->Describe(forest, *artifact->vars);
-  computed.compressed = result->Apply(forest, artifact->polys);
+  if (base != nullptr &&
+      SortedCut(result->vvs) == SortedCut(base->algo_result.vvs)) {
+    // Apply maps each polynomial on its own, so under the predecessor's cut
+    // the new view is the predecessor's view plus Apply of the appended
+    // polynomials. The copy shares the predecessor's compiled snapshot,
+    // which the Adds keep as the prefix the new compiled form grows from.
+    PROVABS_CHECK(base->compressed.count() == first_added);
+    const std::vector<Polynomial>& polys = artifact->polys.polynomials();
+    PolynomialSet appended(std::vector<Polynomial>(
+        polys.begin() + static_cast<std::ptrdiff_t>(first_added),
+        polys.end()));
+    const PolynomialSet mapped = result->Apply(forest, appended);
+    computed.vvs_names = base->vvs_names;
+    computed.compressed = base->compressed;
+    for (const Polynomial& p : mapped.polynomials()) {
+      computed.compressed.Add(p);
+    }
+    views_extended_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    computed.vvs_names = result->Describe(forest, *artifact->vars);
+    computed.compressed = result->Apply(forest, artifact->polys);
+    (base != nullptr ? views_cut_changed_ : views_full_)
+        .fetch_add(1, std::memory_order_relaxed);
+  }
   computed.algo_result = std::move(*result);
-  computed.delta_patched = patched;
+  computed.delta_patched = base != nullptr;
   return computed;
+}
+
+ProvenanceService::ViewBuildStats ProvenanceService::view_build_stats()
+    const {
+  ViewBuildStats stats;
+  stats.extended = views_extended_.load(std::memory_order_relaxed);
+  stats.cut_changed = views_cut_changed_.load(std::memory_order_relaxed);
+  stats.full = views_full_.load(std::memory_order_relaxed);
+  return stats;
 }
 
 StatusOr<std::shared_ptr<const ArtifactStore::CompressedResult>>
@@ -206,7 +256,13 @@ ProvenanceService::CompressInternal(
   // Single-flight: the first request for this key runs the algorithm on
   // this thread; concurrent identical requests block on its outcome instead
   // of computing twice; distinct keys proceed fully in parallel. A failed
-  // run is reported to every waiter and never cached.
+  // run is reported to every waiter and never cached. Publishing drops the
+  // ancestors' results for the same key, which nothing can reach any more.
+  std::vector<uint64_t> superseded;
+  superseded.reserve(artifact->ancestry.size());
+  for (const Artifact::Ancestor& ancestor : artifact->ancestry) {
+    superseded.push_back(ancestor.generation);
+  }
   ArtifactStore::GetOrComputeInfo info;
   StatusOr<std::shared_ptr<const ArtifactStore::CompressedResult>> cached =
       store_.GetOrCompute(
@@ -214,7 +270,7 @@ ProvenanceService::CompressInternal(
           [&]() -> StatusOr<ArtifactStore::CompressedResult> {
             return ComputeCompression(artifact, *forest, *compressor, key);
           },
-          &info);
+          &info, superseded);
   resp.cache_hit = info.cache_hit;
   resp.dedup_hit = info.dedup_hit;
   if (!cached.ok()) return cached.status();
@@ -263,13 +319,15 @@ Response ProvenanceService::Evaluate(const EvaluateRequest& req) {
     // evaluated: setting a variable the compression abstracted away would
     // silently have no effect, and a silently wrong what-if answer is worse
     // than an error (the offline CLI rejects it the same way, because a
-    // compressed artifact's buffer only carries surviving variables).
+    // compressed artifact's buffer only carries surviving variables). The
+    // compiled form's slot index answers each name in O(1).
     Valuation val;
-    std::unordered_set<VariableId> present;
-    if (!req.assignments.empty()) present = target->Variables();
+    std::shared_ptr<const CompiledPolynomialSet> compiled =
+        target->Compiled();
     for (const auto& [name, value] : req.assignments) {
       VariableId id = artifact->vars->Find(name);
-      if (id == kInvalidVariable || present.count(id) == 0) {
+      if (id == kInvalidVariable ||
+          compiled->SlotOf(id) == CompiledPolynomialSet::kNoSlot) {
         return Status::NotFound(
             req.compressed ? "variable '" + name +
                                  "' does not occur in the compressed view "

@@ -80,6 +80,20 @@ class ProvenanceService {
   ArtifactStore& store() { return store_; }
   EvaluateBatcher& batcher() { return batcher_; }
 
+  /// How the compressed views of computed cache fills were built. Counted
+  /// in-process for tests and embedders; not part of the wire stats block.
+  struct ViewBuildStats {
+    /// Patched with the predecessor's cut kept: the predecessor's view
+    /// plus Apply of the appended polynomials, its compiled form grown.
+    uint64_t extended = 0;
+    /// Patched to a different cut: full Apply.
+    uint64_t cut_changed = 0;
+    /// Full compression run (no cached ancestor, or the patch declined;
+    /// see delta_fallback_full): full Apply.
+    uint64_t full = 0;
+  };
+  ViewBuildStats view_build_stats() const;
+
   /// Installed by the socket front end (Server) so every response's stats
   /// block carries the transport counters; pass nullptr to uninstall.
   /// Serving without a server simply leaves the counters at zero.
@@ -124,9 +138,11 @@ class ProvenanceService {
       Response& resp);
 
   /// The compute function CompressInternal hands to GetOrCompute: tries
-  /// the delta-patch path against cached ancestor generations first (sets
-  /// `*patched` and bumps the delta counters), then falls back to the full
-  /// algorithm run (which is when compress_hook_ fires).
+  /// the delta-patch path against cached ancestor generations first (bumps
+  /// the delta counters), then falls back to the full algorithm run (which
+  /// is when compress_hook_ fires). A patch that keeps the ancestor's cut
+  /// grows the ancestor's view by the delta instead of re-applying the cut
+  /// to the whole set (counted in view_build_stats()).
   StatusOr<ArtifactStore::CompressedResult> ComputeCompression(
       const std::shared_ptr<const Artifact>& artifact,
       const AbstractionForest& forest, const Compressor& compressor,
@@ -142,6 +158,9 @@ class ProvenanceService {
   /// Incremental-update telemetry (see ServerStats for the taxonomy).
   std::atomic<uint64_t> delta_patched_{0};
   std::atomic<uint64_t> delta_fallback_full_{0};
+  std::atomic<uint64_t> views_extended_{0};
+  std::atomic<uint64_t> views_cut_changed_{0};
+  std::atomic<uint64_t> views_full_{0};
 
   std::mutex transport_mutex_;
   std::function<void(ServerStats&)> transport_stats_;  // guarded above

@@ -18,10 +18,13 @@
 
 #include <cstring>
 #include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "algo/compressor.h"
 #include "common/random.h"
+#include "core/evaluation_backend.h"
 #include "core/polynomial.h"
 #include "core/polynomial_set.h"
 #include "core/valuation.h"
@@ -137,7 +140,7 @@ TEST(CompiledPolynomialSetTest, EmptySetCompilesAndEvaluates) {
   EXPECT_TRUE(val.EvaluateAll(empty).empty());
 }
 
-TEST(CompiledPolynomialSetTest, CompiledFormIsCachedAndInvalidatedByAdd) {
+TEST(CompiledPolynomialSetTest, CompiledFormIsCachedAndGrownByAdd) {
   VariableTable vars;
   VariableId x = vars.Intern("x");
   PolynomialSet polys;
@@ -151,8 +154,8 @@ TEST(CompiledPolynomialSetTest, CompiledFormIsCachedAndInvalidatedByAdd) {
   PolynomialSet copy = polys;
   EXPECT_EQ(copy.Compiled().get(), first.get());
 
-  // Mutation invalidates: the stale snapshot stays valid for its holder,
-  // the set recompiles with the new polynomial visible.
+  // Mutation yields a new snapshot: the old one stays valid for its
+  // holder, the set's form grows to include the new polynomial.
   polys.Add(Polynomial::FromMonomials({Monomial(4.0, {{x, 2}})}));
   auto third = polys.Compiled();
   EXPECT_NE(third.get(), first.get());
@@ -172,6 +175,158 @@ TEST(CompiledPolynomialSetTest, VariablesAssignedButAbsentAreIgnored) {
   std::vector<double> out = val.EvaluateAll(polys);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], 14.0);
+}
+
+// ------------------------------------------------ compiled-form growth --
+
+/// Element-wise equality of one CSR array of two forms.
+template <typename T>
+void ExpectSameArray(const T* grown, const T* cold, size_t n,
+                     const char* which) {
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(grown[i], cold[i]) << which << "[" << i << "]";
+  }
+}
+
+/// A grown form must be the cold compile of the same polynomials, array
+/// for array (coefficients compared as bits), slot for slot.
+void ExpectSameForm(const CompiledPolynomialSet& grown,
+                    const CompiledPolynomialSet& cold) {
+  ASSERT_EQ(grown.poly_count(), cold.poly_count());
+  ASSERT_EQ(grown.monomial_count(), cold.monomial_count());
+  ASSERT_EQ(grown.factor_count(), cold.factor_count());
+  const CompiledPolynomialSet::CsrView g = grown.csr();
+  const CompiledPolynomialSet::CsrView c = cold.csr();
+  ExpectSameArray(g.poly_offsets, c.poly_offsets, cold.poly_count() + 1,
+                  "poly_offsets");
+  ExpectSameArray(g.mono_offsets, c.mono_offsets, cold.monomial_count() + 1,
+                  "mono_offsets");
+  for (size_t m = 0; m < cold.monomial_count(); ++m) {
+    ASSERT_EQ(Bits(g.coefficients[m]), Bits(c.coefficients[m]))
+        << "coefficients[" << m << "]";
+  }
+  ExpectSameArray(g.factor_slots, c.factor_slots, cold.factor_count(),
+                  "factor_slots");
+  ExpectSameArray(g.factor_exps, c.factor_exps, cold.factor_count(),
+                  "factor_exps");
+  ASSERT_EQ(grown.slot_variables(), cold.slot_variables());
+  for (uint32_t slot = 0; slot < cold.slot_count(); ++slot) {
+    ASSERT_EQ(grown.SlotOf(cold.slot_variables()[slot]), slot);
+  }
+}
+
+// Random Add schedules over a growing variable pool (so appends bring new
+// variables), with exponents up to 3 and empty polynomials: after every Add
+// the grown snapshot equals a cold Compile, carries a new fingerprint, and
+// rejects valuations materialized against the snapshot it grew from.
+TEST(CompiledGrowthTest, GrownFormsEqualColdCompilesAfterEveryAdd) {
+  const EvaluationBackend* backend =
+      EvaluationBackendRegistry::Default().Find("compiled");
+  ASSERT_NE(backend, nullptr);
+  for (int seed = 0; seed < 20; ++seed) {
+    Rng rng(4200 + seed);
+    VariableTable vars;
+    std::vector<VariableId> pool;
+    PolynomialSet polys;
+    std::shared_ptr<const CompiledPolynomialSet> previous = polys.Compiled();
+    for (int step = 0; step < 12; ++step) {
+      const size_t fresh = rng.Uniform(3);
+      for (size_t i = 0; i < fresh; ++i) {
+        pool.push_back(vars.Intern("g" + std::to_string(pool.size())));
+      }
+      std::vector<Monomial> terms;
+      const size_t monomials = pool.empty() ? 0 : rng.Uniform(5);
+      for (size_t m = 0; m < monomials; ++m) {
+        std::vector<Factor> factors;
+        const size_t arity = 1 + rng.Uniform(3);
+        for (size_t f = 0; f < arity; ++f) {
+          factors.push_back({pool[rng.Uniform(pool.size())],
+                             static_cast<uint32_t>(1 + rng.Uniform(3))});
+        }
+        terms.emplace_back(rng.UniformReal(-4.0, 4.0), std::move(factors));
+      }
+      polys.Add(Polynomial::FromMonomials(std::move(terms)));
+
+      std::shared_ptr<const CompiledPolynomialSet> grown = polys.Compiled();
+      const CompiledPolynomialSet cold = CompiledPolynomialSet::Compile(polys);
+      ExpectSameForm(*grown, cold);
+      EXPECT_NE(grown->fingerprint(), previous->fingerprint());
+      EXPECT_NE(grown->fingerprint(), cold.fingerprint());
+      EXPECT_EQ(polys.Compiled().get(), grown.get());  // cached once grown
+      if (!pool.empty()) {
+        EXPECT_EQ(grown->SlotOf(vars.Intern("never_used")),
+                  CompiledPolynomialSet::kNoSlot);
+      }
+
+      // A valuation of the old snapshot indexes the old slot mapping.
+      DenseValuation stale = previous->MaterializeValuation(Valuation{});
+      std::vector<double> out(grown->poly_count());
+      const DenseValuation* scenario = &stale;
+      double* out_ptr = out.data();
+      Status status = backend->EvaluateBatch(*grown, 0, grown->poly_count(),
+                                             &scenario, &out_ptr, 1);
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+
+      Valuation val;
+      for (VariableId v : pool) val.Set(v, rng.UniformReal(0.5, 1.5));
+      ExpectBitwiseEqual(NaiveEvaluateAll(val, polys),
+                         grown->EvaluateAll(grown->MaterializeValuation(val)),
+                         "grown form");
+      previous = grown;
+    }
+  }
+}
+
+// Copies share a snapshot; growing one copy leaves the other's intact.
+TEST(CompiledGrowthTest, GrowingACopyLeavesTheOriginalsSnapshot) {
+  VariableTable vars;
+  VariableId x = vars.Intern("x");
+  VariableId y = vars.Intern("y");
+  PolynomialSet base;
+  base.Add(Polynomial::FromMonomials({Monomial(2.0, {{x, 2}})}));
+  std::shared_ptr<const CompiledPolynomialSet> shared = base.Compiled();
+
+  PolynomialSet grown = base;
+  grown.Add(Polynomial::FromMonomials({Monomial(3.0, {{y, 1}, {x, 1}})}));
+  EXPECT_EQ(base.Compiled().get(), shared.get());
+  std::shared_ptr<const CompiledPolynomialSet> extended = grown.Compiled();
+  EXPECT_NE(extended.get(), shared.get());
+  EXPECT_EQ(shared->poly_count(), 1u);
+  EXPECT_EQ(shared->SlotOf(y), CompiledPolynomialSet::kNoSlot);
+  EXPECT_EQ(extended->SlotOf(x), 0u);
+  EXPECT_EQ(extended->SlotOf(y), 1u);
+  ExpectSameForm(*extended, CompiledPolynomialSet::Compile(grown));
+}
+
+// Readers racing to grow one prefix snapshot each build a valid form (the
+// last store wins); TSan checks the atomic snapshot handoff.
+TEST(CompiledGrowthTest, ConcurrentReadersGrowOnePrefixSafely) {
+  VariableTable vars;
+  std::vector<VariableId> ids;
+  for (int i = 0; i < 6; ++i) {
+    ids.push_back(vars.Intern("c" + std::to_string(i)));
+  }
+  PolynomialSet polys;
+  for (uint32_t p = 0; p < 40; ++p) {
+    polys.Add(Polynomial::FromMonomials(
+        {Monomial(1.0 + p, {{ids[p % 6], 1 + p % 3}}),
+         Monomial(0.5, {{ids[(p + 1) % 6], 1}})}));
+  }
+  (void)polys.Compiled();
+  for (uint32_t p = 0; p < 10; ++p) {
+    polys.Add(
+        Polynomial::FromMonomials({Monomial(2.0 + p, {{ids[p % 6], 2}})}));
+  }
+  const PolynomialSet& shared = polys;
+  std::vector<std::shared_ptr<const CompiledPolynomialSet>> forms(4);
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < forms.size(); ++t) {
+    readers.emplace_back(
+        [&shared, &forms, t] { forms[t] = shared.Compiled(); });
+  }
+  for (std::thread& reader : readers) reader.join();
+  const CompiledPolynomialSet cold = CompiledPolynomialSet::Compile(polys);
+  for (const auto& form : forms) ExpectSameForm(*form, cold);
 }
 
 // ------------------------------------------- randomized differential ----

@@ -33,6 +33,8 @@
 #include "core/polynomial_set.h"
 #include "core/valuation.h"
 #include "jit/jit_backend.h"
+#include "parallel/thread_pool.h"
+#include "server/evaluate_batcher.h"
 #include "workload/tree_gen.h"
 
 namespace provabs {
@@ -290,6 +292,113 @@ TEST(EvaluationBackendRegistryTest, ForceNojitDegradesAutoRouting) {
   } else {
     unsetenv("PROVABS_EVAL_FORCE_NOJIT");
   }
+}
+
+// ------------------------------------------------ break-even routing ---
+
+/// A small set over fresh variables; every call yields a new compiled
+/// snapshot, hence a new jit cache key.
+std::shared_ptr<PolynomialSet> RoutingSet(VariableTable& vars) {
+  const std::string tag = std::to_string(vars.size());
+  VariableId x = vars.Intern("rx" + tag);
+  VariableId y = vars.Intern("ry" + tag);
+  auto polys = std::make_shared<PolynomialSet>();
+  polys->Add(Polynomial::FromMonomials(
+      {Monomial(1.5, {{x, 2}, {y, 1}}), Monomial(-0.25, {{y, 3}})}));
+  polys->Add(Polynomial::FromMonomials({Monomial(4.0, {{x, 1}})}));
+  return polys;
+}
+
+// With a snapshot, auto routing keeps a compiled form on cost-free kernels
+// for its first kJitBreakEvenScenarios scenarios, counting batch widths on
+// the snapshot, and only then lets the jit compete. Explicit names and
+// snapshot-free calls ignore the count and leave it untouched.
+TEST(EvaluationBackendRegistryTest, SnapshotRoutesToJitOnlyPastBreakEven) {
+  const EvaluationBackendRegistry& registry =
+      EvaluationBackendRegistry::Default();
+  EXPECT_EQ(registry.Find("jit")->info().break_even_scenarios,
+            kJitBreakEvenScenarios);
+  EXPECT_EQ(registry.Find("compiled")->info().break_even_scenarios, 0u);
+  const bool jit_active = JitNativeActive();
+  VariableTable vars;
+
+  std::shared_ptr<const CompiledPolynomialSet> narrow =
+      RoutingSet(vars)->Compiled();
+  for (uint64_t i = 0; i < kJitBreakEvenScenarios; ++i) {
+    auto backend = registry.ResolveForBatch("", 1, narrow.get());
+    ASSERT_TRUE(backend.ok());
+    ASSERT_EQ((*backend)->info().name, "compiled") << "scenario " << i;
+  }
+  EXPECT_EQ(narrow->interpreted_scenarios(), kJitBreakEvenScenarios);
+  auto past = registry.ResolveForBatch("", 1, narrow.get());
+  ASSERT_TRUE(past.ok());
+  EXPECT_EQ((*past)->info().name, jit_active ? "jit" : "compiled");
+  EXPECT_EQ(narrow->interpreted_scenarios(),
+            kJitBreakEvenScenarios + (jit_active ? 0 : 1));
+
+  // A wide batch counts its whole width.
+  const uint32_t width = registry.Find("simd_batch")->info().preferred_batch;
+  std::shared_ptr<const CompiledPolynomialSet> wide =
+      RoutingSet(vars)->Compiled();
+  auto first = registry.ResolveForBatch("", kJitBreakEvenScenarios + width,
+                                        wide.get());
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ((*first)->info().name, "simd_batch");
+  auto second = registry.ResolveForBatch("", width, wide.get());
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ((*second)->info().name, jit_active ? "jit" : "simd_batch");
+
+  std::shared_ptr<const CompiledPolynomialSet> untouched =
+      RoutingSet(vars)->Compiled();
+  auto explicit_jit = registry.ResolveForBatch("jit", 1, untouched.get());
+  ASSERT_TRUE(explicit_jit.ok());
+  EXPECT_EQ((*explicit_jit)->info().name, "jit");
+  auto explicit_compiled =
+      registry.ResolveForBatch("compiled", 1, untouched.get());
+  ASSERT_TRUE(explicit_compiled.ok());
+  EXPECT_EQ(untouched->interpreted_scenarios(), 0u);
+}
+
+// Through the serving batcher: a fresh snapshot's first
+// kJitBreakEvenScenarios evaluations leave the jit code cache's miss count
+// unchanged, the next one emits and runs native code, and an explicit
+// "jit" request emits on its first call. Every answer stays bitwise naive.
+TEST(EvaluationBackendRoutingTest, BatcherEmitsOnlyPastBreakEven) {
+  if (!JitNativeActive()) GTEST_SKIP() << "no native jit on this host";
+  ThreadPool pool(1);
+  EvaluateBatcher batcher(pool);
+  const jit::JitCodeCache& cache = jit::JitCodeCache::Default();
+  const auto* jit = dynamic_cast<const JitBackend*>(
+      EvaluationBackendRegistry::Default().Find("jit"));
+  ASSERT_NE(jit, nullptr);
+  VariableTable vars;
+  std::shared_ptr<PolynomialSet> polys = RoutingSet(vars);
+  Valuation val;
+  val.Set(vars.Find("rx0"), 0.75);
+  val.Set(vars.Find("ry0"), 1.25);
+  const std::vector<double> expected = NaiveEvaluateAll(val, *polys);
+
+  const uint64_t misses = cache.stats().misses;
+  const uint64_t native = jit->stats().native_batches;
+  for (uint64_t i = 0; i < kJitBreakEvenScenarios; ++i) {
+    StatusOr<std::vector<double>> out = batcher.Evaluate(polys, val);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    ExpectBitwiseEqual(expected, *out, "interpreted " + std::to_string(i));
+  }
+  EXPECT_EQ(cache.stats().misses, misses);
+  EXPECT_EQ(jit->stats().native_batches, native);
+
+  StatusOr<std::vector<double>> crossed = batcher.Evaluate(polys, val);
+  ASSERT_TRUE(crossed.ok()) << crossed.status().ToString();
+  ExpectBitwiseEqual(expected, *crossed, "past break-even");
+  EXPECT_EQ(cache.stats().misses, misses + 1);
+  EXPECT_EQ(jit->stats().native_batches, native + 1);
+
+  std::shared_ptr<PolynomialSet> fresh = RoutingSet(vars);
+  StatusOr<std::vector<double>> forced = batcher.Evaluate(fresh, val, "jit");
+  ASSERT_TRUE(forced.ok()) << forced.status().ToString();
+  EXPECT_EQ(cache.stats().misses, misses + 2);
+  EXPECT_EQ(jit->stats().native_batches, native + 2);
 }
 
 // ----------------------------------- slot-mapping (fingerprint) guard ---

@@ -13,11 +13,18 @@
 // cache, which keys emitted modules on the compiled fingerprint). After an
 // Add, EvaluateAll must route through a NEW fingerprint and reproduce the
 // naive per-polynomial reference bitwise — a stale module would mis-index.
+//
+// The served arm drives the same checks through ProvenanceService, where a
+// patch that keeps the cut grows the cached predecessor view by the delta
+// instead of re-applying the cut: every served view must still equal a
+// cold Apply byte for byte.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,6 +33,7 @@
 #include "core/compiled_polynomial_set.h"
 #include "core/valuation.h"
 #include "io/serializer.h"
+#include "server/provenance_service.h"
 #include "workload/tree_gen.h"
 
 namespace provabs {
@@ -248,6 +256,166 @@ TEST_P(IncrementalDifferentialTest, PatchedEqualsFullAcrossUpdateShapes) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalDifferentialTest,
                          ::testing::Range(0, 30));
+
+// ------------------------------------------------ served view growth ---
+
+/// Arrays, slots and counts of a compiled form against a cold compile.
+bool SameCompiledArrays(const CompiledPolynomialSet& a,
+                        const CompiledPolynomialSet& b) {
+  if (a.poly_count() != b.poly_count() ||
+      a.monomial_count() != b.monomial_count() ||
+      a.factor_count() != b.factor_count() ||
+      a.slot_variables() != b.slot_variables()) {
+    return false;
+  }
+  const CompiledPolynomialSet::CsrView x = a.csr();
+  const CompiledPolynomialSet::CsrView y = b.csr();
+  auto same = [](const void* p, const void* q, size_t bytes) {
+    return bytes == 0 || std::memcmp(p, q, bytes) == 0;
+  };
+  return same(x.poly_offsets, y.poly_offsets,
+              (a.poly_count() + 1) * sizeof(uint32_t)) &&
+         same(x.mono_offsets, y.mono_offsets,
+              (a.monomial_count() + 1) * sizeof(uint32_t)) &&
+         same(x.coefficients, y.coefficients,
+              a.monomial_count() * sizeof(double)) &&
+         same(x.factor_slots, y.factor_slots,
+              a.factor_count() * sizeof(uint32_t)) &&
+         same(x.factor_exps, y.factor_exps,
+              a.factor_count() * sizeof(uint32_t));
+}
+
+// The served path over the same 30 seeds: after every Append, the service's
+// compress (patched where the ancestor's DP state allows) must serve a view
+// that serializes byte-identically to a cold Apply of a cold DP over the
+// artifact, whose compiled form has a cold compile's arrays, and whose
+// evaluation is bitwise naive. Appends land mostly on leaves the current
+// cut keeps (the view-extension path) and sometimes anywhere (changed cuts
+// and recompress fallbacks); across the seeds both the extension and the
+// changed-cut path must actually be taken.
+TEST(IncrementalServiceDifferentialTest, ServedViewsMatchColdApplyAcrossSeeds) {
+  ProvenanceService::ViewBuildStats totals;
+  for (int seed = 0; seed < 30; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(73000 + seed);
+    VariableTable vars;
+    std::vector<VariableId> leaves;
+    const size_t num_leaves = 8 + rng.Uniform(9);
+    for (size_t i = 0; i < num_leaves; ++i) {
+      leaves.push_back(vars.Intern("sv" + std::to_string(i)));
+    }
+    AbstractionForest forest;
+    forest.AddTree(BuildUniformTree(
+        vars, leaves,
+        rng.Bernoulli(0.5) ? std::vector<uint32_t>{2, 2}
+                           : std::vector<uint32_t>{3},
+        "SV_"));
+    std::vector<VariableId> externals = {vars.Intern("svx0"),
+                                         vars.Intern("svx1")};
+    // Every polynomial mentions most leaves, so abstracting one node merges
+    // monomials across all of them: losses come in coarse steps and the
+    // chosen cut usually has slack for a few more monomials, as on larger
+    // artifacts.
+    PolynomialSet polys;
+    const size_t num_polys = 4 + rng.Uniform(4);
+    for (size_t p = 0; p < num_polys; ++p) {
+      std::vector<Monomial> terms;
+      for (VariableId leaf : leaves) {
+        if (rng.Bernoulli(0.2)) continue;
+        terms.emplace_back(rng.UniformReal(0.5, 9.5),
+                           std::vector<Factor>{{leaf, 1}});
+        if (rng.Bernoulli(0.5)) {
+          terms.emplace_back(
+              rng.UniformReal(0.5, 9.5),
+              std::vector<Factor>{{leaf, 1}, {externals[rng.Uniform(2)], 1}});
+        }
+      }
+      polys.Add(Polynomial::FromMonomials(std::move(terms)));
+    }
+    const size_t bound = polys.SizeM() - 1 - rng.Uniform(polys.SizeM() / 8);
+
+    ServiceOptions options;
+    options.eval_threads = 1;
+    ProvenanceService service(options);
+    LoadRequest load;
+    load.artifact = "v";
+    load.polys_bytes = SerializePolynomialSet(polys, vars);
+    load.forests = {{"t", SerializeForest(forest, vars)}};
+    ASSERT_TRUE(service.Load(load).ok());
+    CompressRequest creq;
+    creq.artifact = "v";
+    creq.forest = "t";
+    creq.algo = "opt";
+    creq.bound = bound;
+
+    for (int step = 0; step < 10; ++step) {
+      std::shared_ptr<const Artifact> artifact = service.store().Get("v");
+      ASSERT_NE(artifact, nullptr);
+      const AbstractionForest& served_forest = *artifact->FindForest("t");
+      Response compressed = service.Compress(creq);
+      auto cold = OptimalSingleTree(artifact->polys, served_forest, 0, bound);
+      ASSERT_EQ(compressed.ok(), cold.ok()) << compressed.message;
+      std::vector<VariableId> kept;
+      if (cold.ok()) {
+        std::shared_ptr<const ArtifactStore::CompressedResult> result =
+            service.store().PeekResult(
+                {"v", artifact->generation, "t", bound, "opt"});
+        ASSERT_NE(result, nullptr);
+        const PolynomialSet cold_view =
+            cold->Apply(served_forest, artifact->polys);
+        EXPECT_EQ(SerializePolynomialSet(result->compressed, *artifact->vars),
+                  SerializePolynomialSet(cold_view, *artifact->vars));
+        EXPECT_TRUE(SameCompiledArrays(
+            *result->compressed.Compiled(),
+            CompiledPolynomialSet::Compile(result->compressed)));
+
+        EvaluateRequest ereq;
+        ereq.artifact = "v";
+        ereq.compressed = true;
+        ereq.forest = "t";
+        ereq.algo = "opt";
+        ereq.bound = bound;
+        ereq.assignments = {{"svx0", rng.UniformReal(0.5, 2.0)}};
+        Response values = service.Evaluate(ereq);
+        ASSERT_TRUE(values.ok()) << values.message;
+        Valuation val;
+        val.Set(artifact->vars->Find("svx0"), ereq.assignments[0].second);
+        std::vector<double> want = NaiveEvaluateAll(val, cold_view);
+        ASSERT_EQ(values.values.size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(Bits(values.values[i]), Bits(want[i])) << "poly " << i;
+        }
+
+        const AbstractionTree& tree = served_forest.tree(0);
+        for (const NodeRef& ref : cold->vvs.nodes()) {
+          if (tree.node(ref.node).is_leaf()) {
+            kept.push_back(
+                vars.Find(artifact->vars->NameOf(tree.node(ref.node).label)));
+          }
+        }
+      }
+      PolynomialSet delta;
+      delta.Add(!kept.empty() && rng.Bernoulli(0.8)
+                    ? RandomPolynomial(rng, kept, externals, 1)
+                    : RandomPolynomial(rng, leaves, externals, 3));
+      AppendRequest areq;
+      areq.artifact = "v";
+      areq.polys_bytes = SerializePolynomialSet(delta, vars);
+      ASSERT_TRUE(service.Append(areq).ok());
+    }
+    const ProvenanceService::ViewBuildStats stats = service.view_build_stats();
+    totals.extended += stats.extended;
+    totals.cut_changed += stats.cut_changed;
+    totals.full += stats.full;
+  }
+  EXPECT_GT(totals.extended, 0u);
+  EXPECT_GT(totals.cut_changed, 0u);
+  EXPECT_GT(totals.full, 0u);
+  std::printf("served views: %llu extended, %llu cut changed, %llu full\n",
+              static_cast<unsigned long long>(totals.extended),
+              static_cast<unsigned long long>(totals.cut_changed),
+              static_cast<unsigned long long>(totals.full));
+}
 
 // ------------------------------------------------ deterministic anchors
 

@@ -44,6 +44,43 @@ TEST_F(PolynomialTest, FromMonomialsDropsExactCancellation) {
   Polynomial p = Polynomial::FromMonomials(
       {Monomial(2.0, {{x_, 1}}), Monomial(-2.0, {{x_, 1}})});
   EXPECT_EQ(p.SizeM(), 0u);
+  EXPECT_EQ(p, Polynomial());
+}
+
+TEST_F(PolynomialTest, FromMonomialsMergesInterleavedRuns) {
+  // Runs of equal power products, given out of order and interleaved, merge
+  // left to right in canonical order; a cancelled run leaves no gap.
+  Polynomial p = Polynomial::FromMonomials(
+      {Monomial(1.0, {{z_, 1}}), Monomial(4.0, {{x_, 1}}),
+       Monomial(2.0, {{z_, 1}}), Monomial(-4.0, {{x_, 1}}),
+       Monomial(7.0, {{y_, 2}}), Monomial(8.0, {{z_, 1}})});
+  ASSERT_EQ(p.SizeM(), 2u);
+  EXPECT_EQ(p.ToString(vars_), "7*y^2 + 11*z");
+
+  Polynomial low = Polynomial::FromMonomials(
+      {Monomial(3.0, {{x_, 1}}), Monomial(1.0, {{y_, 1}}),
+       Monomial(2.0, {{x_, 1}}), Monomial(5.0, {{y_, 1}})},
+      CoefficientCombine::kMin);
+  ASSERT_EQ(low.SizeM(), 2u);
+  EXPECT_EQ(low.monomials()[0].coefficient(), 2.0);
+  EXPECT_EQ(low.monomials()[1].coefficient(), 1.0);
+}
+
+TEST_F(PolynomialTest, CopiesShareTheMonomialList) {
+  Polynomial p = MakeXYplusXZ();
+  Polynomial copy = p;
+  EXPECT_EQ(&copy.monomials(), &p.monomials());
+  PolynomialSet set;
+  set.Add(p);
+  PolynomialSet next = set;
+  next.Add(VariablePolynomial(y_));
+  ASSERT_EQ(set.count(), 1u);
+  ASSERT_EQ(next.count(), 2u);
+  EXPECT_EQ(&next[0].monomials(), &p.monomials());
+  p = Polynomial();
+  EXPECT_EQ(p.SizeM(), 0u);
+  EXPECT_EQ(copy, MakeXYplusXZ());
+  EXPECT_EQ(set[0], MakeXYplusXZ());
 }
 
 TEST_F(PolynomialTest, SizeMeasures) {

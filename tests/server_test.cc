@@ -351,6 +351,9 @@ TEST_F(ServiceTest, EvaluateRawAndCompressed) {
   // would silently change nothing, so the compressed view rejects it.
   Response rejected = service_->Evaluate(req);
   EXPECT_EQ(rejected.code, StatusCode::kNotFound);
+  EXPECT_EQ(rejected.message,
+            "variable 'b1' does not occur in the compressed view (set its "
+            "surviving meta-variable instead)");
 
   // Month variables are outside the plans forest and survive compression.
   req.assignments = {{"m1", 0.5}};
@@ -395,7 +398,9 @@ TEST_F(ServiceTest, ErrorsCarryStatusCodes) {
   EvaluateRequest bad_var;
   bad_var.artifact = "ex";
   bad_var.assignments = {{"no_such_var", 2.0}};
-  EXPECT_EQ(service_->Evaluate(bad_var).code, StatusCode::kNotFound);
+  Response unknown = service_->Evaluate(bad_var);
+  EXPECT_EQ(unknown.code, StatusCode::kNotFound);
+  EXPECT_EQ(unknown.message, "unknown variable 'no_such_var'");
 
   // A variable that exists in the table (it labels a forest node) but does
   // not occur in the polynomials: assigning it would silently change
@@ -403,7 +408,9 @@ TEST_F(ServiceTest, ErrorsCarryStatusCodes) {
   EvaluateRequest absent_var;
   absent_var.artifact = "ex";
   absent_var.assignments = {{"Business", 0.5}};
-  EXPECT_EQ(service_->Evaluate(absent_var).code, StatusCode::kNotFound);
+  Response absent = service_->Evaluate(absent_var);
+  EXPECT_EQ(absent.code, StatusCode::kNotFound);
+  EXPECT_EQ(absent.message, "unknown variable 'Business'");
 
   LoadRequest bad_load;
   bad_load.artifact = "bad";
@@ -1109,6 +1116,89 @@ TEST_F(IncrementalServiceTest, AppendThenCompressSkipsTheFullDp) {
   EXPECT_TRUE(third.cache_hit);
   EXPECT_FALSE(third.delta_patched);
   EXPECT_EQ(full_runs_.load(), 1);
+}
+
+// Publishing a generation's result drops its ancestors' results under the
+// same key: nothing can reach them, since requests resolve the current
+// artifact. A full reload severs the ancestry and erases nothing.
+TEST_F(IncrementalServiceTest, SupersededResultsAreDroppedOnPublish) {
+  CompressRequest creq;
+  creq.artifact = "inc";
+  creq.forest = "t";
+  creq.algo = "opt";
+  creq.bound = bound_;
+  ASSERT_TRUE(service_->Compress(creq).ok());
+  EXPECT_EQ(service_->store().stats().result_count, 1u);
+
+  AppendRequest areq;
+  areq.artifact = "inc";
+  areq.polys_bytes = AppendBytes();
+  ASSERT_TRUE(service_->Append(areq).ok());
+  Response patched = service_->Compress(creq);
+  ASSERT_TRUE(patched.ok()) << patched.message;
+  EXPECT_TRUE(patched.delta_patched);
+  EXPECT_EQ(service_->store().stats().result_count, 1u);
+
+  // Two appends before the next compress: the patch reaches back past the
+  // uncompressed middle generation, and the publish still leaves one.
+  ASSERT_TRUE(service_->Append(areq).ok());
+  ASSERT_TRUE(service_->Append(areq).ok());
+  ASSERT_TRUE(service_->Compress(creq).ok());
+  EXPECT_EQ(service_->store().stats().result_count, 1u);
+
+  LoadRequest reload;
+  reload.artifact = "inc";
+  reload.polys_bytes = polys_bytes_;
+  reload.forests = {{"t", forest_bytes_}};
+  ASSERT_TRUE(service_->Load(reload).ok());
+  ASSERT_TRUE(service_->Compress(creq).ok());
+  EXPECT_EQ(service_->store().stats().result_count, 2u);
+}
+
+// A forest-only Load rebuilds the artifact's current polynomials, appends
+// included, into a fresh table.
+TEST_F(IncrementalServiceTest, ForestOnlyLoadAfterAppendKeepsTheAppends) {
+  AppendRequest areq;
+  areq.artifact = "inc";
+  areq.polys_bytes = AppendBytes();
+  ASSERT_TRUE(service_->Append(areq).ok());
+
+  AbstractionForest second;
+  second.AddTree(BuildUniformTree(vars_, leaves_, {2, 2, 2}, "INC2_"));
+  LoadRequest forest_only;
+  forest_only.artifact = "inc";
+  forest_only.forests = {{"t2", SerializeForest(second, vars_)}};
+  Response loaded = service_->Load(forest_only);
+  ASSERT_TRUE(loaded.ok()) << loaded.message;
+  EXPECT_EQ(loaded.poly_count, polys_.count() + 1);
+  EXPECT_EQ(loaded.monomial_count, polys_.SizeM() + 1);
+  EXPECT_EQ(loaded.variable_count, leaves_.size());
+
+  PolynomialSet grown = polys_;
+  grown.Add(Polynomial::FromMonomials({Monomial(2.5, {{kept_leaf_, 1}})}));
+  EvaluateRequest ereq;
+  ereq.artifact = "inc";
+  ereq.assignments = {{vars_.NameOf(kept_leaf_), 0.5}};
+  Response raw = service_->Evaluate(ereq);
+  ASSERT_TRUE(raw.ok()) << raw.message;
+  Valuation val;
+  val.Set(kept_leaf_, 0.5);
+  std::vector<double> expected;
+  for (const Polynomial& p : grown.polynomials()) {
+    expected.push_back(val.Evaluate(p));
+  }
+  EXPECT_EQ(raw.values, expected);
+
+  // Both forests compress the rebuilt set.
+  for (const char* forest : {"t", "t2"}) {
+    CompressRequest creq;
+    creq.artifact = "inc";
+    creq.forest = forest;
+    creq.algo = "opt";
+    creq.bound = bound_ + 1;
+    Response compressed = service_->Compress(creq);
+    ASSERT_TRUE(compressed.ok()) << forest << ": " << compressed.message;
+  }
 }
 
 TEST_F(IncrementalServiceTest, GreedyAppendFallsBackToTheFullRun) {
