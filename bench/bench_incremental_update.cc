@@ -31,9 +31,7 @@ std::vector<NodeRef> SortedNodes(const ValidVariableSet& vvs) {
   return nodes;
 }
 
-/// Leaves the chosen cut keeps as themselves — the only append targets the
-/// frontier test accepts (an append strictly below a chosen internal node
-/// lands in the abstracted interior and must decline with crosses_cut).
+/// Leaves the chosen cut keeps as themselves, where LocalizedAppend lands.
 std::vector<VariableId> KeptLeaves(const AbstractionForest& forest,
                                    const ValidVariableSet& vvs) {
   std::vector<VariableId> kept;

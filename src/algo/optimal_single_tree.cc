@@ -512,121 +512,119 @@ CompressionResult FinishResult(std::vector<NodeRef> chosen,
   return result;
 }
 
-}  // namespace
-
-StatusOr<CompressionResult> OptimalSingleTree(
-    const PolynomialSet& polys, const AbstractionForest& forest,
-    uint32_t tree_index, size_t bound_b, const OptimalOptions& options) {
-  if (tree_index >= forest.tree_count()) {
-    return Status::InvalidArgument("tree index out of range");
-  }
-  const AbstractionTree& tree = forest.tree(tree_index);
-  Status compat = tree.CheckCompatible(polys);
-  if (!compat.ok()) return compat;
-  if (bound_b == 0) {
-    return Status::InvalidArgument("bound must be at least 1");
-  }
-
-  const size_t size_m = polys.SizeM();
-  const uint32_t k = bound_b >= size_m
-                         ? 0u
-                         : static_cast<uint32_t>(size_m - bound_b);
-  // Arrays are computed with headroom above k so a retained run can absorb
-  // appends; the query below always runs in the k-clamped view, so the
-  // answer is independent of the headroom.
-  const uint32_t clamp = static_cast<uint32_t>(std::min<uint64_t>(
-      size_m, static_cast<uint64_t>(k) + options.retain_headroom));
-
-  LeafResidualIndex index(polys, tree);
+/// Runs Algorithm 1's bottom-up pass over `tree` at bucket clamp `clamp`
+/// and moves its tables into a retained state. `budget_exhausted` reports
+/// whether the deadline degraded any node.
+std::shared_ptr<RetainedDpState> RunDp(const PolynomialSet& polys,
+                                       const AbstractionTree& tree,
+                                       uint32_t tree_index, uint32_t clamp,
+                                       const OptimalOptions& options,
+                                       bool* budget_exhausted) {
+  auto state =
+      std::make_shared<RetainedDpState>(LeafResidualIndex(polys, tree));
   Solver solver;
   solver.tree = &tree;
-  solver.index = &index;
+  solver.index = &state->index;
   solver.clamp = clamp;
   solver.sparse_arrays = options.sparse_arrays;
   solver.height1_shortcut = options.height1_shortcut;
   solver.deadline = options.deadline;
   solver.tree_index = tree_index;
   solver.ComputeArrays();
+  *budget_exhausted = solver.budget_exhausted;
 
+  state->tree_index = tree_index;
+  state->size_m = polys.SizeM();
+  state->revision = polys.revision();
+  state->clamp = clamp;
+  state->sparse_arrays = options.sparse_arrays;
+  state->height1_shortcut = options.height1_shortcut;
+  state->node_count = tree.node_count();
+  state->leaf_labels.reserve(tree.leaves().size());
+  for (NodeIndex leaf : tree.leaves()) {
+    state->leaf_labels.push_back(tree.node(leaf).label);
+  }
+  state->arrays.reserve(solver.arrays.size());
+  for (DpNodeArray& a : solver.arrays) {
+    state->arrays.push_back(std::make_shared<DpNodeArray>(std::move(a)));
+  }
+  state->prefixes.reserve(solver.prefix_store.size());
+  for (ConvPrefixes& p : solver.prefix_store) {
+    state->prefixes.push_back(std::make_shared<ConvPrefixes>(std::move(p)));
+  }
+  state->self_loss = std::move(solver.self_loss);
+  return state;
+}
+
+/// The optimal cut at monomial-loss bound k from `st`'s arrays, read in the
+/// k-clamped view. Runs no convolution unless a node kept no prefix
+/// snapshots (dense ablation, degraded nodes).
+StatusOr<CompressionResult> Query(const RetainedDpState& st,
+                                  const AbstractionForest& forest,
+                                  uint32_t k) {
+  PROVABS_CHECK(k <= st.clamp);
+  const AbstractionTree& tree = forest.tree(st.tree_index);
+  Solver solver;
+  solver.tree = &tree;
+  solver.clamp = st.clamp;
+  solver.sparse_arrays = st.sparse_arrays;
+  solver.height1_shortcut = st.height1_shortcut;
+  solver.tree_index = st.tree_index;
+  solver.base_arrays = &st.arrays;
+  solver.base_prefixes = &st.prefixes;
   if (solver.ViewedGet(tree.root(), k, k) == kBottom) {
     return Status::Infeasible(
         "no valid variable set of the tree is adequate for the bound");
   }
-
   std::vector<NodeRef> chosen;
   solver.out_nodes = &chosen;
   solver.Reconstruct(tree.root(), k, k);
-
-  std::vector<NodeIndex> chosen_here;
-  chosen_here.reserve(chosen.size());
-  for (const NodeRef& ref : chosen) chosen_here.push_back(ref.node);
-
-  CompressionResult result =
-      FinishResult(std::move(chosen), forest, tree_index, solver.self_loss, k);
-  result.budget_exhausted = solver.budget_exhausted;
-  if (options.retain_state && !solver.budget_exhausted) {
-    auto state = std::make_shared<RetainedDpState>(std::move(index));
-    state->tree_index = tree_index;
-    state->bound = bound_b;
-    state->size_m = size_m;
-    state->revision = polys.revision();
-    state->clamp = clamp;
-    state->sparse_arrays = options.sparse_arrays;
-    state->height1_shortcut = options.height1_shortcut;
-    state->node_count = tree.node_count();
-    state->leaf_labels.reserve(tree.leaves().size());
-    for (NodeIndex leaf : tree.leaves()) {
-      state->leaf_labels.push_back(tree.node(leaf).label);
-    }
-    state->arrays.reserve(solver.arrays.size());
-    for (DpNodeArray& a : solver.arrays) {
-      state->arrays.push_back(std::make_shared<DpNodeArray>(std::move(a)));
-    }
-    state->prefixes.reserve(solver.prefix_store.size());
-    for (ConvPrefixes& p : solver.prefix_store) {
-      state->prefixes.push_back(
-          std::make_shared<ConvPrefixes>(std::move(p)));
-    }
-    state->self_loss = std::move(solver.self_loss);
-    state->chosen = std::move(chosen_here);
-    result.dp_state = std::move(state);
-  }
-  return result;
+  return FinishResult(std::move(chosen), forest, st.tree_index, st.self_loss,
+                      k);
 }
 
-const char* RecompressFallbackName(RecompressFallback fallback) {
-  switch (fallback) {
-    case RecompressFallback::kNone: return "none";
-    case RecompressFallback::kNoState: return "no_state";
-    case RecompressFallback::kDeltaIncomplete: return "delta_incomplete";
-    case RecompressFallback::kShapeChanged: return "shape_changed";
-    case RecompressFallback::kHeadroomExhausted: return "headroom_exhausted";
-    case RecompressFallback::kCrossesCut: return "crosses_cut";
+Status CheckTree(const PolynomialSet& polys, const AbstractionForest& forest,
+                 uint32_t tree_index) {
+  if (tree_index >= forest.tree_count()) {
+    return Status::InvalidArgument("tree index out of range");
   }
-  return "unknown";
+  return forest.tree(tree_index).CheckCompatible(polys);
 }
 
-StatusOr<CompressionResult> OptimalRecompress(
+}  // namespace
+
+namespace internal {
+
+uint32_t RequiredLoss(size_t size_m, size_t bound_b) {
+  return bound_b >= size_m ? 0u : static_cast<uint32_t>(size_m - bound_b);
+}
+
+StatusOr<std::shared_ptr<const RetainedDpState>> BuildDpState(
     const PolynomialSet& polys, const AbstractionForest& forest,
-    const CompressionResult& prev, const PolynomialSetDelta& delta,
-    size_t bound_b, RecompressFallback* fallback) {
+    uint32_t tree_index, uint32_t clamp) {
+  PROVABS_RETURN_IF_ERROR(CheckTree(polys, forest, tree_index));
+  bool budget_exhausted = false;
+  return std::shared_ptr<const RetainedDpState>(
+      RunDp(polys, forest.tree(tree_index), tree_index,
+            static_cast<uint32_t>(std::min<uint64_t>(polys.SizeM(), clamp)),
+            OptimalOptions{}, &budget_exhausted));
+}
+
+StatusOr<std::shared_ptr<const RetainedDpState>> PatchDpState(
+    const PolynomialSet& polys, const AbstractionForest& forest,
+    const std::shared_ptr<const RetainedDpState>& prev,
+    const PolynomialSetDelta& delta, uint32_t min_clamp,
+    RecompressFallback* fallback) {
   auto fail = [&](RecompressFallback why, const char* message) {
     if (fallback) *fallback = why;
     return Status::FailedPrecondition(message);
   };
   if (fallback) *fallback = RecompressFallback::kNone;
-  if (bound_b == 0) {
-    return Status::InvalidArgument("bound must be at least 1");
-  }
-  if (prev.dp_state == nullptr) {
+  if (prev == nullptr) {
     return fail(RecompressFallback::kNoState,
                 "previous result carries no retained DP tables");
   }
-  const RetainedDpState& st = *prev.dp_state;
-  if (st.bound != bound_b) {
-    return fail(RecompressFallback::kNoState,
-                "retained tables were computed for a different bound");
-  }
+  const RetainedDpState& st = *prev;
   if (!delta.complete || delta.from_revision != st.revision ||
       delta.to_revision != polys.revision()) {
     return fail(RecompressFallback::kDeltaIncomplete,
@@ -656,18 +654,15 @@ StatusOr<CompressionResult> OptimalRecompress(
     return fail(RecompressFallback::kShapeChanged,
                 "tree shape differs from the retained run");
   }
-  const size_t size_m = polys.SizeM();
-  if (st.size_m + delta.added_monomials != size_m) {
+  if (st.size_m + delta.added_monomials != polys.SizeM()) {
     return fail(RecompressFallback::kDeltaIncomplete,
                 "delta monomial count does not reconcile with |P|_M");
   }
-  const uint32_t k = bound_b >= size_m
-                         ? 0u
-                         : static_cast<uint32_t>(size_m - bound_b);
-  if (k > st.clamp) {
+  if (min_clamp > st.clamp) {
     return fail(RecompressFallback::kHeadroomExhausted,
                 "new k exceeds the retained bucket clamp");
   }
+  if (delta.empty()) return prev;
 
   // Copy-on-patch: the retained state stays immutable for other readers.
   // The per-node arrays are shared pointers, so this copies O(tree) handles
@@ -677,22 +672,9 @@ StatusOr<CompressionResult> OptimalRecompress(
   LeafResidualIndex::AppendDelta appended =
       next->index.AppendPolynomials(polys);
 
-  if (!appended.dirty.empty()) {
-    // Frontier test: an append landing strictly below a chosen internal
-    // node changes the interior the previous cut abstracted away — the
-    // ISSUE's contract is to recompress that from scratch.
-    for (NodeIndex c : st.chosen) {
-      const auto& node = tree.node(c);
-      if (node.is_leaf()) continue;
-      for (uint32_t pos : appended.dirty) {
-        if (pos >= node.leaf_begin && pos < node.leaf_end) {
-          return fail(RecompressFallback::kCrossesCut,
-                      "append touches a leaf inside the abstracted cut");
-        }
-      }
-    }
-  }
-
+  // No gate looks at any previous cut: the arrays are functions of the
+  // tree and the residual index alone, so recomputing every array on a
+  // dirty path is exact wherever the append lands.
   Solver solver;
   solver.tree = &tree;
   solver.index = &next->index;
@@ -732,20 +714,6 @@ StatusOr<CompressionResult> OptimalRecompress(
     }
   }
 
-  if (solver.ViewedGet(tree.root(), k, k) == kBottom) {
-    return Status::Infeasible(
-        "no valid variable set of the tree is adequate for the bound");
-  }
-  std::vector<NodeRef> chosen;
-  solver.out_nodes = &chosen;
-  solver.Reconstruct(tree.root(), k, k);
-
-  std::vector<NodeIndex> chosen_here;
-  chosen_here.reserve(chosen.size());
-  for (const NodeRef& ref : chosen) chosen_here.push_back(ref.node);
-
-  CompressionResult result = FinishResult(std::move(chosen), forest,
-                                          st.tree_index, solver.self_loss, k);
   // Publish the recomputed arrays; every other node keeps aliasing the
   // previous generation's (identical) table.
   for (auto& [v, arr] : solver.overlay) {
@@ -755,45 +723,77 @@ StatusOr<CompressionResult> OptimalRecompress(
     next->prefixes[v] = std::make_shared<ConvPrefixes>(std::move(prefs));
   }
   next->self_loss = std::move(solver.self_loss);
-  next->size_m = size_m;
+  next->size_m = polys.SizeM();
   next->revision = delta.to_revision;
-  next->chosen = std::move(chosen_here);
-  result.dp_state = std::move(next);
-  return result;
+  return std::shared_ptr<const RetainedDpState>(std::move(next));
 }
 
-namespace internal {
-
-StatusOr<std::vector<std::pair<uint32_t, uint64_t>>> RootLossProfile(
-    const PolynomialSet& polys, const AbstractionForest& forest,
-    uint32_t tree_index) {
-  if (tree_index >= forest.tree_count()) {
-    return Status::InvalidArgument("tree index out of range");
+StatusOr<CompressionResult> QueryDpState(const RetainedDpState& state,
+                                         const AbstractionForest& forest,
+                                         size_t bound_b) {
+  if (bound_b == 0) {
+    return Status::InvalidArgument("bound must be at least 1");
   }
-  const AbstractionTree& tree = forest.tree(tree_index);
-  Status compat = tree.CheckCompatible(polys);
-  if (!compat.ok()) return compat;
-
-  const size_t size_m = polys.SizeM();
-  // clamp = |P|_M exceeds every achievable monomial loss (at least one
-  // monomial always survives per non-empty polynomial), so no bucket is
-  // clamped and the root array is exact at every entry.
-  LeafResidualIndex index(polys, tree);
-  Solver solver;
-  solver.tree = &tree;
-  solver.index = &index;
-  solver.clamp = static_cast<uint32_t>(size_m);
-  solver.tree_index = tree_index;
-  // The default deadline is infinite; the DP cannot degrade.
-  solver.ComputeArrays();
-
-  const DpNodeArray& root = solver.arrays[tree.root()];
-  std::vector<std::pair<uint32_t, uint64_t>> profile(root.vl.begin(),
-                                                     root.vl.end());
-  std::sort(profile.begin(), profile.end());
-  return profile;
+  return Query(state, forest, RequiredLoss(state.size_m, bound_b));
 }
 
 }  // namespace internal
+
+StatusOr<CompressionResult> OptimalSingleTree(
+    const PolynomialSet& polys, const AbstractionForest& forest,
+    uint32_t tree_index, size_t bound_b, const OptimalOptions& options) {
+  PROVABS_RETURN_IF_ERROR(CheckTree(polys, forest, tree_index));
+  if (bound_b == 0) {
+    return Status::InvalidArgument("bound must be at least 1");
+  }
+  const size_t size_m = polys.SizeM();
+  const uint32_t k = internal::RequiredLoss(size_m, bound_b);
+  // Arrays are computed with headroom above k so a retained run can absorb
+  // appends and answer other bounds; the query always runs in the
+  // k-clamped view, so the answer is independent of the headroom.
+  const uint32_t clamp = static_cast<uint32_t>(std::min<uint64_t>(
+      size_m, static_cast<uint64_t>(k) + options.retain_headroom));
+  bool budget_exhausted = false;
+  std::shared_ptr<RetainedDpState> state =
+      RunDp(polys, forest.tree(tree_index), tree_index, clamp, options,
+            &budget_exhausted);
+  StatusOr<CompressionResult> result = Query(*state, forest, k);
+  if (!result.ok()) return result;
+  result->budget_exhausted = budget_exhausted;
+  if (options.retain_state && !budget_exhausted) {
+    result->dp_state = std::move(state);
+  }
+  return result;
+}
+
+const char* RecompressFallbackName(RecompressFallback fallback) {
+  switch (fallback) {
+    case RecompressFallback::kNone: return "none";
+    case RecompressFallback::kNoState: return "no_state";
+    case RecompressFallback::kDeltaIncomplete: return "delta_incomplete";
+    case RecompressFallback::kShapeChanged: return "shape_changed";
+    case RecompressFallback::kHeadroomExhausted: return "headroom_exhausted";
+    case RecompressFallback::kCrossesCut: return "crosses_cut";
+  }
+  return "unknown";
+}
+
+StatusOr<CompressionResult> OptimalRecompress(
+    const PolynomialSet& polys, const AbstractionForest& forest,
+    const CompressionResult& prev, const PolynomialSetDelta& delta,
+    size_t bound_b, RecompressFallback* fallback) {
+  if (fallback) *fallback = RecompressFallback::kNone;
+  if (bound_b == 0) {
+    return Status::InvalidArgument("bound must be at least 1");
+  }
+  const uint32_t k = internal::RequiredLoss(polys.SizeM(), bound_b);
+  PROVABS_ASSIGN_OR_RETURN(
+      std::shared_ptr<const internal::RetainedDpState> state,
+      internal::PatchDpState(polys, forest, prev.dp_state, delta, k,
+                             fallback));
+  StatusOr<CompressionResult> result = Query(*state, forest, k);
+  if (result.ok()) result->dp_state = std::move(state);
+  return result;
+}
 
 }  // namespace provabs

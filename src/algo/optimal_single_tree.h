@@ -32,15 +32,16 @@ struct OptimalOptions {
   Deadline deadline;
   /// Extra bucket headroom retained above k = |P|_M − B: the DP arrays are
   /// computed at clamp K = min(|P|_M, k + retain_headroom), so a retained
-  /// result can be re-queried after appends grow |P|_M (hence k) by up to
-  /// this many monomials without a full re-run. The reported result is
-  /// provably identical for every headroom value (clamping commutes with
-  /// the (min,+) convolution; the query runs in the k-clamped view), so
-  /// this knob trades DP work for incremental patchability only.
+  /// result can be re-queried at any bound whose k is at most K, including
+  /// after appends grow |P|_M (hence k) by up to this many monomials,
+  /// without a full re-run. The reported result is provably identical for
+  /// every headroom value (clamping commutes with the (min,+) convolution;
+  /// the query runs in the k-clamped view), so this knob trades DP work for
+  /// re-queries and incremental patchability only.
   uint32_t retain_headroom = 64;
-  /// Keep the per-tree DP tables (arrays, residual index, chosen cut) on
-  /// the result for OptimalRecompress. Never retained for budget-exhausted
-  /// runs, whose degraded arrays are not exact.
+  /// Keep the per-tree DP tables (arrays, residual index) on the result for
+  /// OptimalRecompress. Never retained for budget-exhausted runs, whose
+  /// degraded arrays are not exact.
   bool retain_state = true;
 };
 
@@ -81,16 +82,17 @@ struct DpNodeArray {
 using ConvPrefixes = std::vector<std::vector<std::pair<uint32_t, uint64_t>>>;
 
 /// The optimal DP's retained per-tree tables, carried opaquely on
-/// CompressionResult::dp_state. Everything OptimalRecompress needs to
-/// patch a previous run after localized appends: the clamp-K node arrays,
-/// per-node self losses, the residual index (appendable), the chosen cut,
-/// and the fingerprints that gate reuse (bound, |P|_M, set revision, tree
-/// shape). Immutable once published; Recompress copies it.
+/// CompressionResult::dp_state. They depend on the polynomials and the
+/// tree, not on a bound: the clamp-K node arrays answer every bound whose
+/// k = |P|_M − B is at most K (QueryDpState), and OptimalRecompress patches
+/// them after localized appends. Holds the arrays, per-node self losses,
+/// the residual index (appendable), and the fingerprints that gate reuse
+/// (|P|_M, set revision, tree shape). Immutable once published; a patch
+/// copies it.
 struct RetainedDpState {
   explicit RetainedDpState(LeafResidualIndex idx) : index(std::move(idx)) {}
 
   uint32_t tree_index = 0;
-  uint64_t bound = 0;
   size_t size_m = 0;        ///< |P|_M the DP ran against.
   uint64_t revision = 0;    ///< PolynomialSet::revision() at run time.
   uint32_t clamp = 0;       ///< Bucket clamp K the arrays hold.
@@ -109,8 +111,6 @@ struct RetainedDpState {
   /// Reconstruct rebuilds them on the fly).
   std::vector<std::shared_ptr<const ConvPrefixes>> prefixes;
   std::vector<LossReport> self_loss;
-  /// The cut chosen on THIS tree (node indices, no other trees' leaves).
-  std::vector<NodeIndex> chosen;
 };
 
 }  // namespace internal
@@ -136,19 +136,24 @@ enum class RecompressFallback {
   kDeltaIncomplete,   ///< Delta log truncated or revisions don't line up.
   kShapeChanged,      ///< Forest/tree shape differs from the retained run.
   kHeadroomExhausted, ///< New k exceeds the retained bucket clamp.
-  kCrossesCut,        ///< An append touches a leaf strictly below a chosen
-                      ///< internal node (the abstracted interior).
+  /// Never reported: where an append lands never blocks a patch. Stays
+  /// declared, with its name, because servebench/serve/trace.h lists every
+  /// reason.
+  kCrossesCut,
 };
 
 /// Stable lower_snake_case name for logs/counters/tests.
 const char* RecompressFallbackName(RecompressFallback fallback);
 
-/// Incrementally re-solves a previous OptimalSingleTree run after `polys`
-/// grew by `delta` (appends only). Re-derives only what the delta touched:
-/// appended polynomials are folded into the retained residual index, the
-/// DP arrays along dirty leaf→root paths are recomputed, and the root is
-/// re-queried at the new k — every untouched array is reused as-is, so the
-/// result is field-identical to a full re-run by construction.
+/// Re-solves a previous OptimalSingleTree run at `bound_b` after `polys`
+/// grew by `delta` (appends only; an empty delta is a pure re-query).
+/// `bound_b` may differ from the previous run's bound: any bound whose
+/// k = |P|_M − B is at most the retained clamp is answered. Re-derives only
+/// what the delta touched: appended polynomials are folded into the
+/// retained residual index, the DP arrays along dirty leaf→root paths are
+/// recomputed, and the root is queried at the new k — every untouched
+/// array is reused as-is, so the result is field-identical to a full
+/// re-run by construction.
 ///
 /// On any gate failure (see RecompressFallback) returns kFailedPrecondition
 /// with `fallback` set; the caller runs the full DP instead. Returns
@@ -160,13 +165,34 @@ StatusOr<CompressionResult> OptimalRecompress(
 
 namespace internal {
 
-/// The root DP array of Algorithm 1 run without bucket clamping: every
-/// achievable monomial loss paired with its minimal variable loss, sorted
-/// by monomial loss. Exposed for OptimalTradeoffCurve, which derives the
-/// whole size/granularity Pareto frontier from one DP run.
-StatusOr<std::vector<std::pair<uint32_t, uint64_t>>> RootLossProfile(
+/// k = |P|_M − B, the monomial loss bound `bound_b` requires (0 when the
+/// set already fits).
+uint32_t RequiredLoss(size_t size_m, size_t bound_b);
+
+/// Algorithm 1's per-node tables for tree `tree_index` at bucket clamp
+/// min(|P|_M, clamp), with no bound and no query, under the default
+/// OptimalOptions (sparse arrays, height-1 shortcut, no deadline).
+StatusOr<std::shared_ptr<const RetainedDpState>> BuildDpState(
     const PolynomialSet& polys, const AbstractionForest& forest,
-    uint32_t tree_index);
+    uint32_t tree_index, uint32_t clamp);
+
+/// Patches `prev` after `polys` grew by `delta`, keeping its clamp, behind
+/// OptimalRecompress's gates; the headroom gate declines when the clamp is
+/// below `min_clamp` (the k a caller is about to query). An empty delta
+/// returns `prev` itself.
+StatusOr<std::shared_ptr<const RetainedDpState>> PatchDpState(
+    const PolynomialSet& polys, const AbstractionForest& forest,
+    const std::shared_ptr<const RetainedDpState>& prev,
+    const PolynomialSetDelta& delta, uint32_t min_clamp,
+    RecompressFallback* fallback = nullptr);
+
+/// The optimal cut at `bound_b` read off `state`, whose clamp must cover
+/// k = |P|_M − B: the root lookup plus the convolution-free reconstruction,
+/// with no DP work. Field-identical to OptimalSingleTree at that bound.
+/// The result carries no dp_state.
+StatusOr<CompressionResult> QueryDpState(const RetainedDpState& state,
+                                         const AbstractionForest& forest,
+                                         size_t bound_b);
 
 }  // namespace internal
 

@@ -34,6 +34,18 @@ StatusOr<std::vector<TradeoffPoint>> OptimalTradeoffCurve(
     const PolynomialSet& polys, const AbstractionForest& forest,
     uint32_t tree_index);
 
+namespace internal {
+
+struct RetainedDpState;  // algo/optimal_single_tree.h
+
+/// The same frontier read off a retained DP state whose clamp is its |P|_M
+/// (so the root array is unclamped): no DP work, which is how the server
+/// answers a Tradeoff from the state its compress requests share.
+std::vector<TradeoffPoint> TradeoffCurveFromState(
+    const RetainedDpState& state, const AbstractionForest& forest);
+
+}  // namespace internal
+
 }  // namespace provabs
 
 #endif  // PROVABS_ALGO_TRADEOFF_CURVE_H_

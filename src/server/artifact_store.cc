@@ -60,8 +60,19 @@ size_t ApproxDpStateBytes(const internal::RetainedDpState& state) {
     for (const auto& prefix : *p) bytes += 24 + prefix.size() * 16;
   }
   bytes += state.self_loss.size() * sizeof(LossReport);
-  bytes += state.chosen.size() * sizeof(NodeIndex);
   return bytes;
+}
+
+/// A result's own bytes (loss, cut, names) plus the view it holds or keeps
+/// alive; the view estimate, which also warms its compiled form, is taken
+/// when the view is built.
+size_t ApproxResultBytes(ArtifactStore::CompressedResult& result) {
+  if (result.view_built) {
+    result.view_bytes = ApproxPolynomialSetBytes(result.compressed);
+  }
+  return sizeof(ArtifactStore::CompressedResult) + result.vvs_names.size() +
+         result.algo_result.vvs.nodes().size() * sizeof(NodeRef) +
+         result.algo_result.substitution.size() * 32 + result.view_bytes;
 }
 
 }  // namespace
@@ -102,6 +113,15 @@ std::string ArtifactStore::ProgramSlotKey(const ProgramKey& key) {
   w.PutVarint(key.bound);
   w.PutString(key.algo);
   w.PutVarint(key.source_hash);
+  return std::move(w).Release();
+}
+
+std::string ArtifactStore::StateSlotKey(const StateKey& key) {
+  ByteWriter w;
+  w.PutU8('s');
+  w.PutString(key.artifact);
+  w.PutVarint(key.generation);
+  w.PutString(key.forest);
   return std::move(w).Release();
 }
 
@@ -158,12 +178,10 @@ StatusOr<std::shared_ptr<const Artifact>> ArtifactStore::Load(
       next_generation_.fetch_add(1, std::memory_order_relaxed);
 
   const std::string slot_key = ArtifactSlotKey(name);
-  Shard& shard = ShardFor(slot_key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
   Slot slot;
   slot.artifact = artifact;
   slot.bytes = artifact->approx_bytes;
-  InsertSlot(shard, slot_key, std::move(slot));
+  InsertSlot(slot_key, std::move(slot));
   return std::shared_ptr<const Artifact>(artifact);
 }
 
@@ -211,12 +229,10 @@ StatusOr<std::shared_ptr<const Artifact>> ArtifactStore::Append(
       next_generation_.fetch_add(1, std::memory_order_relaxed);
 
   const std::string slot_key = ArtifactSlotKey(name);
-  Shard& shard = ShardFor(slot_key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
   Slot slot;
   slot.artifact = artifact;
   slot.bytes = artifact->approx_bytes;
-  InsertSlot(shard, slot_key, std::move(slot));
+  InsertSlot(slot_key, std::move(slot));
   return std::shared_ptr<const Artifact>(artifact);
 }
 
@@ -262,17 +278,11 @@ std::shared_ptr<const ArtifactStore::CompressedResult>
 ArtifactStore::InsertResultSlot(const std::string& slot_key,
                                 CompressedResult result) {
   auto shared = std::make_shared<CompressedResult>(std::move(result));
-  shared->approx_bytes =
-      ApproxPolynomialSetBytes(shared->compressed) + shared->vvs_names.size();
-  if (shared->algo_result.dp_state != nullptr) {
-    shared->approx_bytes += ApproxDpStateBytes(*shared->algo_result.dp_state);
-  }
-  Shard& shard = ShardFor(slot_key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
+  shared->approx_bytes = ApproxResultBytes(*shared);
   Slot slot;
   slot.result = shared;
   slot.bytes = shared->approx_bytes;
-  InsertSlot(shard, slot_key, std::move(slot));
+  InsertSlot(slot_key, std::move(slot));
   return shared;
 }
 
@@ -301,12 +311,10 @@ std::shared_ptr<const scenario::ScenarioProgram> ArtifactStore::InsertProgram(
   auto shared =
       std::make_shared<const scenario::ScenarioProgram>(std::move(program));
   const std::string slot_key = ProgramSlotKey(key);
-  Shard& shard = ShardFor(slot_key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
   Slot slot;
   slot.program = shared;
   slot.bytes = shared->ApproxBytes();
-  InsertSlot(shard, slot_key, std::move(slot));
+  InsertSlot(slot_key, std::move(slot));
   return shared;
 }
 
@@ -341,11 +349,7 @@ ArtifactStore::GetOrCompute(const ResultKey& key,
         ResultKey old_key = key;
         for (uint64_t generation : superseded) {
           old_key.generation = generation;
-          const std::string old_slot = ResultSlotKey(old_key);
-          Shard& shard = ShardFor(old_slot);
-          std::lock_guard<std::mutex> lock(shard.mutex);
-          auto it = shard.slots.find(old_slot);
-          if (it != shard.slots.end()) EraseSlot(shard, it);
+          EraseKey(ResultSlotKey(old_key));
         }
         return {Status::OK(), std::move(published)};
       },
@@ -358,11 +362,83 @@ ArtifactStore::GetOrCompute(const ResultKey& key,
   return std::static_pointer_cast<const CompressedResult>(outcome.value);
 }
 
+StatusOr<std::shared_ptr<const ArtifactStore::CompressedResult>>
+ArtifactStore::GetOrBuildView(const ResultKey& key,
+                              std::shared_ptr<const CompressedResult> entry,
+                              const ViewBuildFn& build) {
+  const std::string slot_key = ResultSlotKey(key);
+  std::string flight_key = slot_key;
+  flight_key[0] = 'v';  // a view build, not the result's own fill
+  InflightRegistry::Outcome outcome = inflight_.DoOrWait(
+      flight_key, [&]() -> InflightRegistry::Outcome {
+        if (auto latest = LookupSlot(slot_key, CountMode::kNone)) {
+          if (latest->view_built) return {Status::OK(), std::move(latest)};
+          entry = std::move(latest);
+        }
+        StatusOr<CompressedResult> built = build(*entry);
+        if (!built.ok()) return {built.status(), nullptr};
+        built->view_built = true;
+        built->view_base = nullptr;
+        return {Status::OK(), InsertResultSlot(slot_key, std::move(*built))};
+      });
+  if (!outcome.status.ok()) return outcome.status;
+  return std::static_pointer_cast<const CompressedResult>(outcome.value);
+}
+
+ArtifactStore::DpState ArtifactStore::PeekState(const StateKey& key) {
+  return StateAt(StateSlotKey(key));
+}
+
+ArtifactStore::DpState ArtifactStore::StateAt(const std::string& slot_key) {
+  Shard& shard = ShardFor(slot_key);
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  auto it = shard.slots.find(slot_key);
+  if (it == shard.slots.end()) return nullptr;
+  Touch(shard, it);
+  return it->second.state;
+}
+
+StatusOr<ArtifactStore::DpState> ArtifactStore::GetOrComputeState(
+    const StateKey& key, uint32_t min_clamp, const StateComputeFn& compute,
+    const std::vector<uint64_t>& superseded) {
+  const std::string slot_key = StateSlotKey(key);
+  for (;;) {
+    DpState cached = StateAt(slot_key);
+    if (cached != nullptr && cached->clamp >= min_clamp) return cached;
+    InflightRegistry::Outcome outcome = inflight_.DoOrWait(
+        slot_key, [&]() -> InflightRegistry::Outcome {
+          DpState narrow = StateAt(slot_key);
+          if (narrow != nullptr && narrow->clamp >= min_clamp) {
+            return {Status::OK(), std::move(narrow)};
+          }
+          StatusOr<DpState> computed = compute(narrow);
+          if (!computed.ok()) return {computed.status(), nullptr};
+          Slot slot;
+          slot.state = *computed;
+          slot.bytes = ApproxDpStateBytes(**computed);
+          InsertSlot(slot_key, std::move(slot));
+          StateKey old_key = key;
+          for (uint64_t generation : superseded) {
+            old_key.generation = generation;
+            EraseKey(StateSlotKey(old_key));
+          }
+          return {Status::OK(), std::move(*computed)};
+        });
+    if (!outcome.status.ok()) return outcome.status;
+    // A waiter receives whatever the leader needed, which may be narrower
+    // than what this caller needs; the next round rebuilds it wider.
+    auto state = std::static_pointer_cast<const internal::RetainedDpState>(
+        outcome.value);
+    if (state->clamp >= min_clamp) return state;
+  }
+}
+
 ArtifactStore::Stats ArtifactStore::stats() const {
   Stats stats;
   stats.artifact_count = artifact_count_.load(std::memory_order_relaxed);
   stats.result_count = result_count_.load(std::memory_order_relaxed);
   stats.program_count = program_count_.load(std::memory_order_relaxed);
+  stats.state_count = state_count_.load(std::memory_order_relaxed);
   stats.program_hits = program_hits_.load(std::memory_order_relaxed);
   stats.program_misses = program_misses_.load(std::memory_order_relaxed);
   stats.cached_bytes = used_bytes_total_.load(std::memory_order_relaxed);
@@ -384,6 +460,7 @@ void ArtifactStore::Touch(
 std::atomic<uint64_t>& ArtifactStore::CountFor(const Slot& slot) {
   if (slot.artifact != nullptr) return artifact_count_;
   if (slot.program != nullptr) return program_count_;
+  if (slot.state != nullptr) return state_count_;
   return result_count_;
 }
 
@@ -396,8 +473,16 @@ void ArtifactStore::EraseSlot(
   shard.slots.erase(it);
 }
 
-void ArtifactStore::InsertSlot(Shard& shard, const std::string& slot_key,
-                               Slot slot) {
+void ArtifactStore::EraseKey(const std::string& slot_key) {
+  Shard& shard = ShardFor(slot_key);
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  auto it = shard.slots.find(slot_key);
+  if (it != shard.slots.end()) EraseSlot(shard, it);
+}
+
+void ArtifactStore::InsertSlot(const std::string& slot_key, Slot slot) {
+  Shard& shard = ShardFor(slot_key);
+  std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.slots.find(slot_key);
   if (it != shard.slots.end()) EraseSlot(shard, it);
   shard.lru.push_front(slot_key);

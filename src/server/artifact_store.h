@@ -83,11 +83,14 @@ struct Artifact {
 /// it together with the entry whose budget it was charged to.
 size_t ApproxPolynomialSetBytes(const PolynomialSet& polys);
 
-/// Byte-budgeted LRU cache over two kinds of entries: deserialized
-/// artifacts (keyed by name) and compression results (keyed by artifact
-/// generation + forest + bound + algo). Repeat loads skip deserialization;
-/// repeat compressions skip the DP entirely — the heart of the paper's
-/// "compress once, evaluate interactively" deployment story.
+/// Byte-budgeted LRU cache over deserialized artifacts (keyed by name),
+/// compression results (keyed by artifact generation + forest + bound +
+/// algo), the "opt" DP states those results are queried from (keyed by
+/// artifact generation + forest) and compiled scenario programs. Repeat
+/// loads skip deserialization; repeat compressions skip the DP entirely,
+/// and so do compressions at a new bound on a generation whose DP state is
+/// cached — the heart of the paper's "compress once, evaluate
+/// interactively" deployment story.
 ///
 /// The cache is sharded: slot keys hash to one of `shards` independent
 /// (mutex, map, recency list) triples, so concurrent requests for distinct
@@ -156,9 +159,11 @@ class ArtifactStore {
     std::string algo;
   };
 
-  /// A cached compression: the loss report plus the compressed polynomial
-  /// set (kept so evaluate-over-compressed requests skip both the
-  /// algorithm run and the substitution). `algo` in the key names any
+  /// A cached compression: the loss report and cut, plus the compressed
+  /// polynomial set once a read has needed it. A compress builds no view:
+  /// the first evaluate or scenario request over the result builds it and
+  /// republishes the entry under the same key, so later reads skip both
+  /// the algorithm run and the substitution. `algo` in the key names any
   /// registered compressor, so caching and single-flight dedup compose
   /// identically for all of them — including the exponential "brute" and
   /// "prox", where skipping a repeat run matters most.
@@ -166,14 +171,24 @@ class ArtifactStore {
     LossReport loss;
     bool adequate = false;
     std::string vvs_names;
+    /// The view P↓S; empty until `view_built`.
     PolynomialSet compressed;
+    bool view_built = false;
+    /// Until the view is built: a predecessor generation's view under the
+    /// same cut, which the build grows by Apply of the polynomials
+    /// appended since, or null when there is none.
+    std::shared_ptr<const PolynomialSet> view_base;
+    /// A predecessor generation's result exists but chose another cut.
+    bool cut_changed = false;
+    /// Estimated bytes of the view this entry holds or keeps alive.
+    size_t view_bytes = 0;
     size_t approx_bytes = 0;
     /// The algorithm-layer result this entry was built from, retained in
-    /// memory only (its dp_state is never serialized). When the algorithm
-    /// produced retained DP tables, a later generation's compression can
-    /// hand them to OptimalRecompress instead of re-running the full DP.
+    /// memory only, to build the view from. Its dp_state is always null:
+    /// the "opt" tables live in their own state entry (StateKey).
     CompressionResult algo_result;
-    /// True when this entry itself was produced by the patch path.
+    /// True when this entry's fill patched a predecessor generation's DP
+    /// state.
     bool delta_patched = false;
   };
 
@@ -220,6 +235,45 @@ class ArtifactStore {
       GetOrComputeInfo* info = nullptr,
       const std::vector<uint64_t>& superseded = {});
 
+  /// Replaces the cached entry for `key`, whose view is not built yet, with
+  /// `build(entry)`, single-flight: concurrent readers of one view wait
+  /// for the first one's build. Returns the republished entry (or one a
+  /// concurrent build already published). `entry` is the caller's copy, in
+  /// case the cache evicted it meanwhile.
+  using ViewBuildFn =
+      std::function<StatusOr<CompressedResult>(const CompressedResult&)>;
+  StatusOr<std::shared_ptr<const CompressedResult>> GetOrBuildView(
+      const ResultKey& key, std::shared_ptr<const CompressedResult> entry,
+      const ViewBuildFn& build);
+
+  /// Identity of one generation's retained "opt" DP tables: Algorithm 1's
+  /// arrays over (artifact generation, forest), which answer every bound
+  /// whose k fits under their clamp. One entry serves every bound.
+  struct StateKey {
+    std::string artifact;
+    uint64_t generation = 0;
+    std::string forest;
+  };
+  using DpState = std::shared_ptr<const internal::RetainedDpState>;
+
+  /// State lookup that counts nothing and refreshes recency; nullptr on
+  /// miss.
+  DpState PeekState(const StateKey& key);
+
+  /// Produces the state to publish. `narrow` is the cached entry whose
+  /// clamp was too small, or null when none is cached.
+  using StateComputeFn = std::function<StatusOr<DpState>(const DpState&)>;
+
+  /// Single-flight fill of a state entry whose clamp covers `min_clamp`:
+  /// returns the cached state when it does; otherwise the first caller runs
+  /// `compute` and publishes its state (replacing a narrower one) while
+  /// concurrent callers wait. A caller handed a state still too narrow for
+  /// it tries again. Failures are never cached. Publishing erases the
+  /// states of `superseded` generations of the same artifact and forest.
+  StatusOr<DpState> GetOrComputeState(
+      const StateKey& key, uint32_t min_clamp, const StateComputeFn& compute,
+      const std::vector<uint64_t>& superseded = {});
+
   /// Identity of one compiled scenario program: the target view it was
   /// analyzed against (artifact + generation, and for compressed targets
   /// the full compression key) plus a hash of the source text. A reload
@@ -254,6 +308,7 @@ class ArtifactStore {
     uint64_t artifact_count = 0;
     uint64_t result_count = 0;
     uint64_t program_count = 0;
+    uint64_t state_count = 0;  ///< In-process only; not on the wire.
     uint64_t cached_bytes = 0;
     uint64_t byte_budget = 0;
     uint64_t result_hits = 0;
@@ -271,12 +326,13 @@ class ArtifactStore {
 
  private:
   /// Cache slots are keyed by a tag byte + encoded identity so artifact,
-  /// result, and program entries share one map and one recency list per
-  /// shard.
+  /// result, program and state entries share one map and one recency list
+  /// per shard.
   struct Slot {
     std::shared_ptr<const Artifact> artifact;  // exactly one of these
-    std::shared_ptr<const CompressedResult> result;  // three is non-null
+    std::shared_ptr<const CompressedResult> result;  // four is non-null
     std::shared_ptr<const scenario::ScenarioProgram> program;
+    DpState state;
     size_t bytes = 0;
     std::list<std::string>::iterator lru_it;
   };
@@ -293,11 +349,12 @@ class ArtifactStore {
   static std::string ArtifactSlotKey(const std::string& name);
   static std::string ResultSlotKey(const ResultKey& key);
   static std::string ProgramSlotKey(const ProgramKey& key);
+  static std::string StateSlotKey(const StateKey& key);
 
   Shard& ShardFor(const std::string& slot_key);
 
   /// The per-kind count a slot contributes to (artifact_count_,
-  /// result_count_, or program_count_).
+  /// result_count_, program_count_, or state_count_).
   std::atomic<uint64_t>& CountFor(const Slot& slot);
 
   /// What the hit/miss counters should record for one lookup.
@@ -318,9 +375,13 @@ class ArtifactStore {
   /// shard.mutex.
   static void Touch(Shard& shard,
                     std::unordered_map<std::string, Slot>::iterator it);
-  /// Installs/replaces a slot and evicts the shard down to its budget.
-  /// Requires shard.mutex.
-  void InsertSlot(Shard& shard, const std::string& slot_key, Slot slot);
+  /// Installs/replaces a slot under its shard's lock and evicts the shard
+  /// down to its budget.
+  void InsertSlot(const std::string& slot_key, Slot slot);
+  /// Drops the slot at `slot_key`, if any, under its shard's lock.
+  void EraseKey(const std::string& slot_key);
+  /// PeekState by pre-encoded slot key.
+  DpState StateAt(const std::string& slot_key);
   /// Drops `it`'s slot and its byte and count charges. Requires
   /// shard.mutex.
   void EraseSlot(Shard& shard,
@@ -353,6 +414,7 @@ class ArtifactStore {
   std::atomic<uint64_t> program_count_{0};
   std::atomic<uint64_t> program_hits_{0};
   std::atomic<uint64_t> program_misses_{0};
+  std::atomic<uint64_t> state_count_{0};
 };
 
 }  // namespace provabs

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -48,6 +48,17 @@ std::vector<NodeRef> SortedCut(const ValidVariableSet& vvs) {
   std::vector<NodeRef> nodes = vvs.nodes();
   std::sort(nodes.begin(), nodes.end());
   return nodes;
+}
+
+/// The generations whose results and states a publish for `artifact`
+/// supersedes: its ancestry.
+std::vector<uint64_t> Superseded(const Artifact& artifact) {
+  std::vector<uint64_t> generations;
+  generations.reserve(artifact.ancestry.size());
+  for (const Artifact::Ancestor& ancestor : artifact.ancestry) {
+    generations.push_back(ancestor.generation);
+  }
+  return generations;
 }
 
 /// An explicit backend name is validated up front so a typo fails with the
@@ -144,92 +155,136 @@ Response ProvenanceService::Append(const AppendRequest& req) {
   });
 }
 
+StatusOr<ArtifactStore::DpState> ProvenanceService::StateFor(
+    const std::shared_ptr<const Artifact>& artifact,
+    const AbstractionForest& forest, const ArtifactStore::ResultKey& key,
+    uint32_t k, bool* patched) {
+  const ArtifactStore::StateKey state_key{key.artifact, key.generation,
+                                          key.forest};
+  auto compute = [&](const ArtifactStore::DpState& narrow)
+      -> StatusOr<ArtifactStore::DpState> {
+    const PolynomialSet& polys = artifact->polys;
+    // The first fill of a generation patches the nearest cached ancestor
+    // generation's state by the delta, when its clamp still covers k.
+    for (auto it = artifact->ancestry.rbegin();
+         narrow == nullptr && it != artifact->ancestry.rend(); ++it) {
+      ArtifactStore::StateKey prev_key = state_key;
+      prev_key.generation = it->generation;
+      ArtifactStore::DpState prev = store_.PeekState(prev_key);
+      if (prev == nullptr) continue;  // Older ancestors may still be cached.
+      RecompressFallback fallback = RecompressFallback::kNone;
+      StatusOr<ArtifactStore::DpState> next = internal::PatchDpState(
+          polys, forest, prev, polys.DeltaSince(it->revision), k, &fallback);
+      if (fallback != RecompressFallback::kNone) {
+        delta_fallback_full_.fetch_add(1, std::memory_order_relaxed);
+        break;  // A declined patch at the nearest ancestor settles it.
+      }
+      if (next.ok()) {
+        delta_patched_.fetch_add(1, std::memory_order_relaxed);
+        if (patched != nullptr) *patched = true;
+      }
+      return next;
+    }
+    if (compress_hook_) compress_hook_(key);
+    // A generation's first DP runs at k plus the default headroom, as cheap
+    // as one bound needs; a later bound beyond that clamp rebuilds once at
+    // |P|_M, after which every bound is a re-query.
+    const uint64_t clamp =
+        narrow == nullptr ? uint64_t{k} + OptimalOptions{}.retain_headroom
+                          : polys.SizeM();
+    return internal::BuildDpState(
+        polys, forest, 0,
+        static_cast<uint32_t>(std::min<uint64_t>(clamp, UINT32_MAX)));
+  };
+  return store_.GetOrComputeState(state_key, k, compute,
+                                  Superseded(*artifact));
+}
+
 StatusOr<ArtifactStore::CompressedResult>
 ProvenanceService::ComputeCompression(
     const std::shared_ptr<const Artifact>& artifact,
     const AbstractionForest& forest, const Compressor& compressor,
     const ArtifactStore::ResultKey& key) {
-  std::optional<CompressionResult> result;
-  // The cached ancestor result a patch was computed from, and the index of
-  // the first polynomial appended since.
-  std::shared_ptr<const ArtifactStore::CompressedResult> base;
-  size_t first_added = 0;
-  // Delta-patch path: probe cached ancestor generations (newest first) for
-  // a result under the same (forest, bound, algo) whose retained DP tables
-  // can be patched against the polynomials' delta log. A patched result is
-  // field-identical to a full re-run by construction, so the cache entry
-  // it fills is indistinguishable from a cold one.
-  for (auto it = artifact->ancestry.rbegin(); it != artifact->ancestry.rend();
-       ++it) {
+  // The nearest cached ancestor generation's result under the same key:
+  // its view is what this generation's view can grow from.
+  std::shared_ptr<const ArtifactStore::CompressedResult> prev;
+  for (auto it = artifact->ancestry.rbegin();
+       prev == nullptr && it != artifact->ancestry.rend(); ++it) {
     ArtifactStore::ResultKey prev_key = key;
     prev_key.generation = it->generation;
-    std::shared_ptr<const ArtifactStore::CompressedResult> prev =
-        store_.PeekResult(prev_key);
-    if (prev == nullptr) continue;  // Older ancestors may still be cached.
-    if (prev->algo_result.dp_state == nullptr) {
-      // A predecessor exists but carries nothing patchable (non-opt algo,
-      // or a budget-exhausted run). Deeper ancestors ran the same
-      // algorithm, so probing further cannot help.
-      delta_fallback_full_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    }
-    PolynomialSetDelta delta = artifact->polys.DeltaSince(it->revision);
-    RecompressFallback fallback = RecompressFallback::kNone;
-    StatusOr<CompressionResult> attempt = OptimalRecompress(
-        artifact->polys, forest, prev->algo_result, delta,
-        static_cast<size_t>(key.bound), &fallback);
-    if (fallback != RecompressFallback::kNone) {
-      delta_fallback_full_.fetch_add(1, std::memory_order_relaxed);
-      break;  // A declined patch at the nearest ancestor settles it.
-    }
-    // The patch path answered authoritatively — including kInfeasible,
-    // which the full DP would report identically.
-    delta_patched_.fetch_add(1, std::memory_order_relaxed);
-    if (!attempt.ok()) return attempt.status();
-    result = std::move(*attempt);
-    base = std::move(prev);
-    first_added = delta.first_added_index;
-    break;
+    prev = store_.PeekResult(prev_key);
   }
-  if (base == nullptr) {
+  ArtifactStore::CompressedResult computed;
+  CompressionResult result;
+  if (key.algo == "opt") {
+    // A re-query of the generation's retained tables; the DP runs only when
+    // no cached state covers this bound's k.
+    const uint32_t k = internal::RequiredLoss(artifact->polys.SizeM(),
+                                              static_cast<size_t>(key.bound));
+    PROVABS_ASSIGN_OR_RETURN(
+        ArtifactStore::DpState state,
+        StateFor(artifact, forest, key, k, &computed.delta_patched));
+    PROVABS_ASSIGN_OR_RETURN(
+        result,
+        internal::QueryDpState(*state, forest, static_cast<size_t>(key.bound)));
+  } else {
+    // Other algorithms retain nothing to patch: a cached predecessor only
+    // means the full run happens anyway.
+    if (prev != nullptr) {
+      delta_fallback_full_.fetch_add(1, std::memory_order_relaxed);
+    }
     if (compress_hook_) compress_hook_(key);
     CompressOptions copts;
     copts.bound = key.bound;
-    StatusOr<CompressionResult> full =
-        compressor.Compress(artifact->polys, forest, copts);
-    if (!full.ok()) return full.status();
-    result = std::move(*full);
+    PROVABS_ASSIGN_OR_RETURN(
+        result, compressor.Compress(artifact->polys, forest, copts));
+    result.dp_state = nullptr;
   }
-  ArtifactStore::CompressedResult computed;
-  computed.loss = result->loss;
-  computed.adequate = result->adequate;
-  if (base != nullptr &&
-      SortedCut(result->vvs) == SortedCut(base->algo_result.vvs)) {
-    // Apply maps each polynomial on its own, so under the predecessor's cut
-    // the new view is the predecessor's view plus Apply of the appended
-    // polynomials. The copy shares the predecessor's compiled snapshot,
-    // which the Adds keep as the prefix the new compiled form grows from.
-    PROVABS_CHECK(base->compressed.count() == first_added);
-    const std::vector<Polynomial>& polys = artifact->polys.polynomials();
+  computed.loss = result.loss;
+  computed.adequate = result.adequate;
+  computed.vvs_names = result.Describe(forest, *artifact->vars);
+  // No view yet; record what the first read can grow it from. Apply maps
+  // each polynomial on its own, so under the predecessor's cut the new view
+  // is the predecessor's view plus Apply of the appended polynomials.
+  if (prev != nullptr) {
+    if (!result.grouping && !prev->algo_result.grouping &&
+        SortedCut(result.vvs) == SortedCut(prev->algo_result.vvs)) {
+      computed.view_base =
+          prev->view_built
+              ? std::shared_ptr<const PolynomialSet>(prev, &prev->compressed)
+              : prev->view_base;
+      if (computed.view_base != nullptr) computed.view_bytes = prev->view_bytes;
+    } else {
+      computed.cut_changed = true;
+    }
+  }
+  computed.algo_result = std::move(result);
+  return computed;
+}
+
+StatusOr<ArtifactStore::CompressedResult> ProvenanceService::BuildView(
+    const Artifact& artifact, const AbstractionForest& forest,
+    const ArtifactStore::CompressedResult& entry) {
+  ArtifactStore::CompressedResult built = entry;
+  if (entry.view_base != nullptr) {
+    // The copy shares the base view's compiled snapshot, which the Adds
+    // keep as the prefix the new compiled form grows from.
+    const std::vector<Polynomial>& polys = artifact.polys.polynomials();
+    const size_t first_added = entry.view_base->count();
+    PROVABS_CHECK(first_added <= polys.size());
     PolynomialSet appended(std::vector<Polynomial>(
         polys.begin() + static_cast<std::ptrdiff_t>(first_added),
         polys.end()));
-    const PolynomialSet mapped = result->Apply(forest, appended);
-    computed.vvs_names = base->vvs_names;
-    computed.compressed = base->compressed;
-    for (const Polynomial& p : mapped.polynomials()) {
-      computed.compressed.Add(p);
-    }
+    const PolynomialSet mapped = entry.algo_result.Apply(forest, appended);
+    built.compressed = *entry.view_base;
+    for (const Polynomial& p : mapped.polynomials()) built.compressed.Add(p);
     views_extended_.fetch_add(1, std::memory_order_relaxed);
   } else {
-    computed.vvs_names = result->Describe(forest, *artifact->vars);
-    computed.compressed = result->Apply(forest, artifact->polys);
-    (base != nullptr ? views_cut_changed_ : views_full_)
+    built.compressed = entry.algo_result.Apply(forest, artifact.polys);
+    (entry.cut_changed ? views_cut_changed_ : views_full_)
         .fetch_add(1, std::memory_order_relaxed);
   }
-  computed.algo_result = std::move(*result);
-  computed.delta_patched = base != nullptr;
-  return computed;
+  return built;
 }
 
 ProvenanceService::ViewBuildStats ProvenanceService::view_build_stats()
@@ -245,7 +300,8 @@ StatusOr<std::shared_ptr<const ArtifactStore::CompressedResult>>
 ProvenanceService::CompressInternal(
     const std::shared_ptr<const Artifact>& artifact,
     const std::string& artifact_name, const std::string& forest_name,
-    const std::string& algo, uint64_t bound, Response& resp) {
+    const std::string& algo, uint64_t bound, Response& resp,
+    bool with_view) {
   const AbstractionForest* forest = artifact->FindForest(forest_name);
   if (forest == nullptr) return NoForest(artifact_name, forest_name);
   PROVABS_ASSIGN_OR_RETURN(const Compressor* compressor,
@@ -258,11 +314,6 @@ ProvenanceService::CompressInternal(
   // of computing twice; distinct keys proceed fully in parallel. A failed
   // run is reported to every waiter and never cached. Publishing drops the
   // ancestors' results for the same key, which nothing can reach any more.
-  std::vector<uint64_t> superseded;
-  superseded.reserve(artifact->ancestry.size());
-  for (const Artifact::Ancestor& ancestor : artifact->ancestry) {
-    superseded.push_back(ancestor.generation);
-  }
   ArtifactStore::GetOrComputeInfo info;
   StatusOr<std::shared_ptr<const ArtifactStore::CompressedResult>> cached =
       store_.GetOrCompute(
@@ -270,7 +321,7 @@ ProvenanceService::CompressInternal(
           [&]() -> StatusOr<ArtifactStore::CompressedResult> {
             return ComputeCompression(artifact, *forest, *compressor, key);
           },
-          &info, superseded);
+          &info, Superseded(*artifact));
   resp.cache_hit = info.cache_hit;
   resp.dedup_hit = info.dedup_hit;
   if (!cached.ok()) return cached.status();
@@ -279,8 +330,15 @@ ProvenanceService::CompressInternal(
   resp.variable_loss = (*cached)->loss.variable_loss;
   resp.adequate = (*cached)->adequate;
   resp.vvs = (*cached)->vvs_names;
-  resp.compressed_monomials = (*cached)->compressed.SizeM();
-  return cached;
+  // |P↓S|_M = |P|_M − ML (the paper's monomial loss), so no view is needed.
+  resp.compressed_monomials =
+      artifact->polys.SizeM() - (*cached)->loss.monomial_loss;
+  if (!with_view || (*cached)->view_built) return cached;
+  return store_.GetOrBuildView(
+      key, *cached,
+      [&](const ArtifactStore::CompressedResult& entry) {
+        return BuildView(*artifact, *forest, entry);
+      });
 }
 
 template <typename Request>
@@ -294,7 +352,7 @@ ProvenanceService::ResolveTarget(
   PROVABS_ASSIGN_OR_RETURN(
       std::shared_ptr<const ArtifactStore::CompressedResult> result,
       CompressInternal(artifact, req.artifact, req.forest, req.algo,
-                       req.bound, resp));
+                       req.bound, resp, /*with_view=*/true));
   return std::shared_ptr<const PolynomialSet>(result, &result->compressed);
 }
 
@@ -303,7 +361,7 @@ Response ProvenanceService::Compress(const CompressRequest& req) {
     std::shared_ptr<const Artifact> artifact = store_.Get(req.artifact);
     if (artifact == nullptr) return NotLoaded(req.artifact);
     return CompressInternal(artifact, req.artifact, req.forest, req.algo,
-                            req.bound, resp)
+                            req.bound, resp, /*with_view=*/false)
         .status();
   });
 }
@@ -497,8 +555,15 @@ Response ProvenanceService::Tradeoff(const TradeoffRequest& req) {
     if (artifact == nullptr) return NotLoaded(req.artifact);
     const AbstractionForest* forest = artifact->FindForest(req.forest);
     if (forest == nullptr) return NoForest(req.artifact, req.forest);
+    // The curve is the root array of the generation's "opt" state at clamp
+    // |P|_M, the same entry compress requests re-query.
+    const ArtifactStore::ResultKey key{req.artifact, artifact->generation,
+                                       req.forest, 0, "opt"};
     PROVABS_ASSIGN_OR_RETURN(
-        resp.points, OptimalTradeoffCurve(artifact->polys, *forest, 0));
+        ArtifactStore::DpState state,
+        StateFor(artifact, *forest, key,
+                 static_cast<uint32_t>(artifact->polys.SizeM()), nullptr));
+    resp.points = internal::TradeoffCurveFromState(*state, *forest);
     return Status::OK();
   });
 }

@@ -37,12 +37,15 @@ struct ServiceOptions {
   /// the transport's frame-size check. 0 = the protocol's kMaxFrameBytes.
   uint64_t max_response_bytes = 0;
   /// Test-only hook, invoked on the computing thread at the start of every
-  /// FULL compression run that single-flight actually executes — not for
-  /// cache hits, not for deduplicated waiters, and not for fills answered
-  /// by the delta-patch path (which is exactly how the incremental tests
-  /// assert an append skipped the full DP). The concurrency test battery
-  /// uses it to count DP executions and to hold leaders at a barrier;
-  /// production leaves it empty.
+  /// full algorithm run that single-flight actually executes: for "opt"
+  /// each DP that builds a generation's state (a first fill, or the one
+  /// rebuild at clamp |P|_M; Tradeoff requests included), for the other
+  /// algorithms each run per bound. Not for cache hits, deduplicated
+  /// waiters, re-queries of a cached state, or states patched from an
+  /// ancestor generation (which is how the incremental tests assert an
+  /// append skipped the full DP). The concurrency test battery uses it to
+  /// count DP executions and to hold leaders at a barrier; production
+  /// leaves it empty. For a Tradeoff the key carries bound 0.
   std::function<void(const ArtifactStore::ResultKey&)> compress_hook;
 };
 
@@ -80,16 +83,16 @@ class ProvenanceService {
   ArtifactStore& store() { return store_; }
   EvaluateBatcher& batcher() { return batcher_; }
 
-  /// How the compressed views of computed cache fills were built. Counted
+  /// How compressed views were built, each by the first evaluate or
+  /// scenario request that read it (a compress builds none). Counted
   /// in-process for tests and embedders; not part of the wire stats block.
   struct ViewBuildStats {
-    /// Patched with the predecessor's cut kept: the predecessor's view
-    /// plus Apply of the appended polynomials, its compiled form grown.
+    /// The predecessor generation's cut was kept: its view plus Apply of
+    /// the appended polynomials, its compiled form grown.
     uint64_t extended = 0;
-    /// Patched to a different cut: full Apply.
+    /// The predecessor generation chose a different cut: full Apply.
     uint64_t cut_changed = 0;
-    /// Full compression run (no cached ancestor, or the patch declined;
-    /// see delta_fallback_full): full Apply.
+    /// No cached predecessor generation: full Apply.
     uint64_t full = 0;
   };
   ViewBuildStats view_build_stats() const;
@@ -117,17 +120,19 @@ class ProvenanceService {
   /// Evaluate-over-compressed: resolves `algo` through the process-wide
   /// CompressorRegistry (unknown names fail listing the registered set),
   /// then returns the cached result, waits on an identical in-flight
-  /// request, or runs the algorithm and caches it (single-flight; see
+  /// request, or computes it and caches it (single-flight; see
   /// ArtifactStore::GetOrCompute) — against
   /// the caller's `artifact` snapshot (never re-fetched, so a concurrent
   /// reload cannot swap the VariableTable out from under ids the caller
-  /// already resolved). Fills the compress section of `resp` (cache_hit and
-  /// dedup_hit even when the run failed).
+  /// already resolved). With `with_view` the returned entry holds the
+  /// compressed view, built and republished on its first read. Fills the
+  /// compress section of `resp` (cache_hit and dedup_hit even when the run
+  /// failed).
   StatusOr<std::shared_ptr<const ArtifactStore::CompressedResult>>
   CompressInternal(const std::shared_ptr<const Artifact>& artifact,
                    const std::string& artifact_name,
                    const std::string& forest_name, const std::string& algo,
-                   uint64_t bound, Response& resp);
+                   uint64_t bound, Response& resp, bool with_view);
   /// The polynomials an evaluate or scenario request runs on: the
   /// artifact's own, or with `req.compressed` its compression through
   /// CompressInternal. The pointer aliases its owner (artifact or cached
@@ -137,16 +142,29 @@ class ProvenanceService {
       const std::shared_ptr<const Artifact>& artifact, const Request& req,
       Response& resp);
 
-  /// The compute function CompressInternal hands to GetOrCompute: tries
-  /// the delta-patch path against cached ancestor generations first (bumps
-  /// the delta counters), then falls back to the full algorithm run (which
-  /// is when compress_hook_ fires). A patch that keeps the ancestor's cut
-  /// grows the ancestor's view by the delta instead of re-applying the cut
-  /// to the whole set (counted in view_build_stats()).
+  /// The compute function CompressInternal hands to GetOrCompute. "opt"
+  /// re-queries the generation's retained DP state (StateFor); the other
+  /// algorithms run in full (which is when compress_hook_ fires). Builds
+  /// no view: it records the nearest cached ancestor generation's view
+  /// when that generation chose the same cut, for BuildView to grow.
   StatusOr<ArtifactStore::CompressedResult> ComputeCompression(
       const std::shared_ptr<const Artifact>& artifact,
       const AbstractionForest& forest, const Compressor& compressor,
       const ArtifactStore::ResultKey& key);
+  /// The generation's "opt" state for `key`'s forest with clamp ≥ k, from
+  /// the store or filled single-flight: patched from the nearest cached
+  /// ancestor generation's state when it allows (bumps the delta
+  /// counters and sets `*patched`, if given), else built by a DP at k plus
+  /// the default headroom, or at |P|_M when a narrower state is cached.
+  StatusOr<ArtifactStore::DpState> StateFor(
+      const std::shared_ptr<const Artifact>& artifact,
+      const AbstractionForest& forest, const ArtifactStore::ResultKey& key,
+      uint32_t k, bool* patched);
+  /// `entry` with its view: the base view grown by Apply of the appended
+  /// polynomials, or a full Apply (counted in view_build_stats()).
+  StatusOr<ArtifactStore::CompressedResult> BuildView(
+      const Artifact& artifact, const AbstractionForest& forest,
+      const ArtifactStore::CompressedResult& entry);
 
   ArtifactStore store_;
   ThreadPool pool_;

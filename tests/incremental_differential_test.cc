@@ -1,12 +1,13 @@
 // Randomized incremental-vs-full differential for the delta-aware update
-// path (ISSUE 10). Across 30 seeds, every OptimalRecompress that accepts a
-// patch must be FIELD-EQUAL to a cold full DP over the grown set — same
-// loss, same adequacy, same chosen cut — and the compressed sets the two
-// results produce must serialize BYTE-identically. Where the patch is
-// declined (delta log truncated, append crossing the cut, headroom
-// exhausted, ...) the full DP is authoritative and the differential is
-// trivially satisfied; the deterministic tests below pin down that the
-// accept and decline paths are both actually exercised.
+// path. Across 30 seeds, every OptimalRecompress that accepts a patch must
+// be FIELD-EQUAL to a cold full DP over the grown set — same loss, same
+// adequacy, same chosen cut — and the compressed sets the two results
+// produce must serialize BYTE-identically. Where the patch is declined
+// (delta log truncated, headroom exhausted, ...) the full DP is
+// authoritative and the differential is trivially satisfied; the
+// deterministic tests below pin down that the accept and decline paths are
+// both actually exercised, including appends below a chosen internal node,
+// which patch like any other.
 //
 // The add-then-evaluate arm covers the other cache that appends must
 // invalidate: the compiled evaluation form (and through it the jit code
@@ -15,9 +16,11 @@
 // naive per-polynomial reference bitwise — a stale module would mis-index.
 //
 // The served arm drives the same checks through ProvenanceService, where a
-// patch that keeps the cut grows the cached predecessor view by the delta
-// instead of re-applying the cut: every served view must still equal a
-// cold Apply byte for byte.
+// view is built by its first read, and grows the predecessor generation's
+// view by the delta when the cut is kept instead of re-applying the cut:
+// every served view must still equal a cold Apply byte for byte. The bound
+// arm asks one generation's retained DP state for many bounds: every
+// answer must equal a cold DP at that bound.
 
 #include <gtest/gtest.h>
 
@@ -209,9 +212,9 @@ TEST_P(IncrementalDifferentialTest, PatchedEqualsFullAcrossUpdateShapes) {
   current = RecompressAndCompare(polys, forest, vars, current, rev, bound,
                                  &patched);
 
-  // Stage 3: an add aimed at the abstracted interior when one exists
-  // (crossing the cut frontier — the patch must decline, the full DP
-  // stands; RecompressAndCompare asserts both).
+  // Stage 3: an add aimed at the abstracted interior when one exists,
+  // below a chosen internal node. The patch recomputes the dirty path like
+  // any other; RecompressAndCompare holds it to the cold run.
   if (current.dp_state != nullptr) {
     const AbstractionTree& tree = forest.tree(0);
     VariableId inner = kInvalidVariable;
@@ -285,6 +288,63 @@ bool SameCompiledArrays(const CompiledPolynomialSet& a,
               a.factor_count() * sizeof(uint32_t));
 }
 
+/// A served test instance: a tree over 8–16 leaves plus two off-tree
+/// variables, and `min_polys` + [0, 4) polynomials over them.
+struct ServedInstance {
+  VariableTable vars;
+  std::vector<VariableId> leaves;
+  std::vector<VariableId> externals;
+  AbstractionForest forest;
+  PolynomialSet polys;
+};
+
+ServedInstance MakeServedInstance(Rng& rng, size_t min_polys) {
+  ServedInstance in;
+  const size_t num_leaves = 8 + rng.Uniform(9);
+  for (size_t i = 0; i < num_leaves; ++i) {
+    in.leaves.push_back(in.vars.Intern("sv" + std::to_string(i)));
+  }
+  in.forest.AddTree(BuildUniformTree(
+      in.vars, in.leaves,
+      rng.Bernoulli(0.5) ? std::vector<uint32_t>{2, 2}
+                         : std::vector<uint32_t>{3},
+      "SV_"));
+  in.externals = {in.vars.Intern("svx0"), in.vars.Intern("svx1")};
+  // Every polynomial mentions most leaves, so abstracting one node merges
+  // monomials across all of them: losses come in coarse steps and the
+  // chosen cut usually has slack for a few more monomials, as on larger
+  // artifacts.
+  const size_t num_polys = min_polys + rng.Uniform(4);
+  for (size_t p = 0; p < num_polys; ++p) {
+    std::vector<Monomial> terms;
+    for (VariableId leaf : in.leaves) {
+      if (rng.Bernoulli(0.2)) continue;
+      terms.emplace_back(rng.UniformReal(0.5, 9.5),
+                         std::vector<Factor>{{leaf, 1}});
+      if (rng.Bernoulli(0.5)) {
+        terms.emplace_back(rng.UniformReal(0.5, 9.5),
+                           std::vector<Factor>{
+                               {leaf, 1}, {in.externals[rng.Uniform(2)], 1}});
+      }
+    }
+    in.polys.Add(Polynomial::FromMonomials(std::move(terms)));
+  }
+  return in;
+}
+
+/// A service with `in` loaded as artifact "v" with forest "t".
+std::unique_ptr<ProvenanceService> ServeInstance(const ServedInstance& in,
+                                                 ServiceOptions options) {
+  options.eval_threads = 1;
+  auto service = std::make_unique<ProvenanceService>(options);
+  LoadRequest load;
+  load.artifact = "v";
+  load.polys_bytes = SerializePolynomialSet(in.polys, in.vars);
+  load.forests = {{"t", SerializeForest(in.forest, in.vars)}};
+  EXPECT_TRUE(service->Load(load).ok());
+  return service;
+}
+
 // The served path over the same 30 seeds: after every Append, the service's
 // compress (patched where the ancestor's DP state allows) must serve a view
 // that serializes byte-identically to a cold Apply of a cold DP over the
@@ -298,50 +358,14 @@ TEST(IncrementalServiceDifferentialTest, ServedViewsMatchColdApplyAcrossSeeds) {
   for (int seed = 0; seed < 30; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(73000 + seed);
-    VariableTable vars;
-    std::vector<VariableId> leaves;
-    const size_t num_leaves = 8 + rng.Uniform(9);
-    for (size_t i = 0; i < num_leaves; ++i) {
-      leaves.push_back(vars.Intern("sv" + std::to_string(i)));
-    }
-    AbstractionForest forest;
-    forest.AddTree(BuildUniformTree(
-        vars, leaves,
-        rng.Bernoulli(0.5) ? std::vector<uint32_t>{2, 2}
-                           : std::vector<uint32_t>{3},
-        "SV_"));
-    std::vector<VariableId> externals = {vars.Intern("svx0"),
-                                         vars.Intern("svx1")};
-    // Every polynomial mentions most leaves, so abstracting one node merges
-    // monomials across all of them: losses come in coarse steps and the
-    // chosen cut usually has slack for a few more monomials, as on larger
-    // artifacts.
-    PolynomialSet polys;
-    const size_t num_polys = 4 + rng.Uniform(4);
-    for (size_t p = 0; p < num_polys; ++p) {
-      std::vector<Monomial> terms;
-      for (VariableId leaf : leaves) {
-        if (rng.Bernoulli(0.2)) continue;
-        terms.emplace_back(rng.UniformReal(0.5, 9.5),
-                           std::vector<Factor>{{leaf, 1}});
-        if (rng.Bernoulli(0.5)) {
-          terms.emplace_back(
-              rng.UniformReal(0.5, 9.5),
-              std::vector<Factor>{{leaf, 1}, {externals[rng.Uniform(2)], 1}});
-        }
-      }
-      polys.Add(Polynomial::FromMonomials(std::move(terms)));
-    }
-    const size_t bound = polys.SizeM() - 1 - rng.Uniform(polys.SizeM() / 8);
-
-    ServiceOptions options;
-    options.eval_threads = 1;
-    ProvenanceService service(options);
-    LoadRequest load;
-    load.artifact = "v";
-    load.polys_bytes = SerializePolynomialSet(polys, vars);
-    load.forests = {{"t", SerializeForest(forest, vars)}};
-    ASSERT_TRUE(service.Load(load).ok());
+    ServedInstance in = MakeServedInstance(rng, 4);
+    const VariableTable& vars = in.vars;
+    const std::vector<VariableId>& leaves = in.leaves;
+    const std::vector<VariableId>& externals = in.externals;
+    const size_t bound =
+        in.polys.SizeM() - 1 - rng.Uniform(in.polys.SizeM() / 8);
+    std::unique_ptr<ProvenanceService> served = ServeInstance(in, {});
+    ProvenanceService& service = *served;
     CompressRequest creq;
     creq.artifact = "v";
     creq.forest = "t";
@@ -357,17 +381,9 @@ TEST(IncrementalServiceDifferentialTest, ServedViewsMatchColdApplyAcrossSeeds) {
       ASSERT_EQ(compressed.ok(), cold.ok()) << compressed.message;
       std::vector<VariableId> kept;
       if (cold.ok()) {
-        std::shared_ptr<const ArtifactStore::CompressedResult> result =
-            service.store().PeekResult(
-                {"v", artifact->generation, "t", bound, "opt"});
-        ASSERT_NE(result, nullptr);
         const PolynomialSet cold_view =
             cold->Apply(served_forest, artifact->polys);
-        EXPECT_EQ(SerializePolynomialSet(result->compressed, *artifact->vars),
-                  SerializePolynomialSet(cold_view, *artifact->vars));
-        EXPECT_TRUE(SameCompiledArrays(
-            *result->compressed.Compiled(),
-            CompiledPolynomialSet::Compile(result->compressed)));
+        EXPECT_EQ(compressed.compressed_monomials, cold_view.SizeM());
 
         EvaluateRequest ereq;
         ereq.artifact = "v";
@@ -385,6 +401,17 @@ TEST(IncrementalServiceDifferentialTest, ServedViewsMatchColdApplyAcrossSeeds) {
         for (size_t i = 0; i < want.size(); ++i) {
           EXPECT_EQ(Bits(values.values[i]), Bits(want[i])) << "poly " << i;
         }
+        // The evaluate built the view and republished it under the key.
+        std::shared_ptr<const ArtifactStore::CompressedResult> result =
+            service.store().PeekResult(
+                {"v", artifact->generation, "t", bound, "opt"});
+        ASSERT_NE(result, nullptr);
+        ASSERT_TRUE(result->view_built);
+        EXPECT_EQ(SerializePolynomialSet(result->compressed, *artifact->vars),
+                  SerializePolynomialSet(cold_view, *artifact->vars));
+        EXPECT_TRUE(SameCompiledArrays(
+            *result->compressed.Compiled(),
+            CompiledPolynomialSet::Compile(result->compressed)));
 
         const AbstractionTree& tree = served_forest.tree(0);
         for (const NodeRef& ref : cold->vvs.nodes()) {
@@ -415,6 +442,122 @@ TEST(IncrementalServiceDifferentialTest, ServedViewsMatchColdApplyAcrossSeeds) {
               static_cast<unsigned long long>(totals.extended),
               static_cast<unsigned long long>(totals.cut_changed),
               static_cast<unsigned long long>(totals.full));
+}
+
+// One generation's retained DP state answers every bound. Per seed, three
+// generations apart by appends each take ~20 random bounds: a first one
+// that fits (k = 0, so the state is built at the default headroom), then
+// bounds across the whole range, among them infeasible ones and one whose k
+// exceeds that first clamp, which forces the single rebuild at |P|_M.
+// Every served answer must be field-identical to a cold OptimalSingleTree,
+// every view a read builds byte-identical to a cold Apply (with a cold
+// compile's arrays), and compressed_monomials that view's size. The same
+// bounds through OptimalRecompress with an empty delta (a pure re-query)
+// must agree as well.
+TEST(IncrementalServiceDifferentialTest, RandomBoundSequencesMatchColdRuns) {
+  uint64_t rebuilt_generations = 0;
+  for (int seed = 0; seed < 30; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(79000 + seed);
+    ServedInstance in = MakeServedInstance(rng, 10);
+    int dp_runs = 0;
+    ServiceOptions options;
+    options.compress_hook = [&](const ArtifactStore::ResultKey&) { ++dp_runs; };
+    std::unique_ptr<ProvenanceService> service = ServeInstance(in, options);
+
+    for (int generation = 0; generation < 3; ++generation) {
+      SCOPED_TRACE("generation " + std::to_string(generation));
+      std::shared_ptr<const Artifact> artifact = service->store().Get("v");
+      ASSERT_NE(artifact, nullptr);
+      const PolynomialSet& polys = artifact->polys;
+      const AbstractionForest& forest = *artifact->FindForest("t");
+      const size_t size_m = polys.SizeM();
+      const size_t first_clamp =
+          std::min<size_t>(size_m, OptimalOptions{}.retain_headroom);
+      OptimalOptions wide;
+      wide.retain_headroom = UINT32_MAX;
+      auto requery_base = OptimalSingleTree(polys, forest, 0, size_m, wide);
+      ASSERT_TRUE(requery_base.ok()) << requery_base.status().ToString();
+
+      std::vector<size_t> bounds = {size_m, 1};
+      if (size_m > first_clamp + 1) {
+        bounds.push_back(size_m - first_clamp - 1 -
+                         rng.Uniform(size_m - first_clamp - 1));
+      }
+      while (bounds.size() < 20) bounds.push_back(1 + rng.Uniform(size_m));
+      std::vector<size_t> tail(bounds.begin() + 1, bounds.end());
+      rng.Shuffle(tail);
+      std::copy(tail.begin(), tail.end(), bounds.begin() + 1);
+
+      const int dp_runs_before = dp_runs;
+      for (size_t i = 0; i < bounds.size(); ++i) {
+        const size_t bound = bounds[i];
+        SCOPED_TRACE("bound " + std::to_string(bound));
+        CompressRequest creq;
+        creq.artifact = "v";
+        creq.forest = "t";
+        creq.bound = bound;
+        Response served = service->Compress(creq);
+        auto cold = OptimalSingleTree(polys, forest, 0, bound);
+        auto requery = OptimalRecompress(polys, forest, *requery_base,
+                                         polys.DeltaSince(polys.revision()),
+                                         bound);
+        ASSERT_EQ(served.code, cold.status().code()) << served.message;
+        ASSERT_EQ(requery.status().code(), cold.status().code());
+        if (!cold.ok()) {
+          EXPECT_EQ(cold.status().code(), StatusCode::kInfeasible);
+          continue;
+        }
+        EXPECT_EQ(served.monomial_loss, cold->loss.monomial_loss);
+        EXPECT_EQ(served.variable_loss, cold->loss.variable_loss);
+        EXPECT_EQ(served.adequate, cold->adequate);
+        EXPECT_EQ(served.vvs, cold->Describe(forest, *artifact->vars));
+        EXPECT_EQ(requery->loss.monomial_loss, cold->loss.monomial_loss);
+        EXPECT_EQ(requery->loss.variable_loss, cold->loss.variable_loss);
+        EXPECT_EQ(requery->adequate, cold->adequate);
+        EXPECT_EQ(SortedNodes(requery->vvs), SortedNodes(cold->vvs));
+        const PolynomialSet cold_view = cold->Apply(forest, polys);
+        EXPECT_EQ(served.compressed_monomials, cold_view.SizeM());
+        if (i % 3 != 0) continue;
+
+        EvaluateRequest ereq;
+        ereq.artifact = "v";
+        ereq.compressed = true;
+        ereq.forest = "t";
+        ereq.bound = bound;
+        Response values = service->Evaluate(ereq);
+        ASSERT_TRUE(values.ok()) << values.message;
+        std::shared_ptr<const ArtifactStore::CompressedResult> result =
+            service->store().PeekResult(
+                {"v", artifact->generation, "t", bound, "opt"});
+        ASSERT_NE(result, nullptr);
+        ASSERT_TRUE(result->view_built);
+        EXPECT_EQ(result->compressed.SizeM(), served.compressed_monomials);
+        EXPECT_EQ(SerializePolynomialSet(result->compressed, *artifact->vars),
+                  SerializePolynomialSet(cold_view, *artifact->vars));
+        EXPECT_TRUE(SameCompiledArrays(
+            *result->compressed.Compiled(),
+            CompiledPolynomialSet::Compile(result->compressed)));
+      }
+      // At most the first build and one rebuild per generation; the first
+      // generation has no ancestor to patch, so it takes both whenever some
+      // bound's k exceeds the first clamp.
+      const int runs = dp_runs - dp_runs_before;
+      EXPECT_LE(runs, 2);
+      if (generation == 0) {
+        EXPECT_EQ(runs, size_m > first_clamp + 1 ? 2 : 1);
+      }
+      if (runs == 2) ++rebuilt_generations;
+
+      PolynomialSet delta;
+      delta.Add(RandomPolynomial(rng, in.leaves, in.externals, 3));
+      AppendRequest areq;
+      areq.artifact = "v";
+      areq.polys_bytes = SerializePolynomialSet(delta, in.vars);
+      ASSERT_TRUE(service->Append(areq).ok());
+    }
+  }
+  EXPECT_GT(rebuilt_generations, 0u);
 }
 
 // ------------------------------------------------ deterministic anchors
@@ -467,9 +610,11 @@ TEST(IncrementalDeterministicTest, LocalizedAddTakesThePatchPath) {
   EXPECT_TRUE(patched) << "localized add must take the patch path";
 }
 
-/// A shape where the patch MUST decline with kCrossesCut: the append lands
-/// strictly below a chosen internal node.
-TEST(IncrementalDeterministicTest, CrossingAddReportsCrossesCut) {
+/// An append strictly below a chosen internal node. The DP arrays depend on
+/// the tree and the residual index, never on the previous cut, so the patch
+/// recomputes the dirty path as for any other append and must equal a cold
+/// run.
+TEST(IncrementalDeterministicTest, CrossingAddTakesThePatchPath) {
   VariableTable vars;
   std::vector<VariableId> leaves;
   for (int i = 0; i < 8; ++i) {
@@ -506,13 +651,9 @@ TEST(IncrementalDeterministicTest, CrossingAddReportsCrossesCut) {
 
   uint64_t rev = polys.revision();
   polys.Add(Polynomial::FromMonomials({Monomial(2.0, {{inner, 1}})}));
-  PolynomialSetDelta delta = polys.DeltaSince(rev);
-  RecompressFallback fallback = RecompressFallback::kNone;
-  auto patched =
-      OptimalRecompress(polys, forest, *base, delta, bound, &fallback);
-  EXPECT_FALSE(patched.ok());
-  EXPECT_EQ(fallback, RecompressFallback::kCrossesCut);
-  EXPECT_STREQ(RecompressFallbackName(fallback), "crosses_cut");
+  bool patched = false;
+  RecompressAndCompare(polys, forest, vars, *base, rev, bound, &patched);
+  EXPECT_TRUE(patched) << "an append below the cut must take the patch path";
 }
 
 /// Exhausting the delta log must decline with kDeltaIncomplete instead of
@@ -546,10 +687,7 @@ TEST(IncrementalDeterministicTest, TruncatedDeltaLogDeclines) {
   auto patched = OptimalRecompress(polys, forest, *base, delta,
                                    polys.SizeM(), &fallback);
   EXPECT_FALSE(patched.ok());
-  // The stale bound gate may fire first (|P|_M grew, the bound argument
-  // here differs from the retained one) — accept either decline, never a
-  // patch.
-  EXPECT_NE(fallback, RecompressFallback::kNone);
+  EXPECT_EQ(fallback, RecompressFallback::kDeltaIncomplete);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "io/serializer.h"
 #include "online/sampler.h"
 #include "online/size_estimator.h"
@@ -317,16 +319,17 @@ TEST_F(OnlineCompressorTest, AppendOnlinePatchesLocalizedAdd) {
   EXPECT_EQ(result->abstraction.vvs.nodes().size(), cold->vvs.nodes().size());
 }
 
-TEST_F(OnlineCompressorTest, AppendOnlineFallsBackAcrossTheCut) {
+TEST_F(OnlineCompressorTest, AppendOnlinePatchesAcrossTheCut) {
   size_t full_size = query_(db_).SizeM();
   OnlineOptions opts;
   opts.sampled_tables = {"Calls"};
   auto result = CompressOnline(db_, query_, forest_, full_size / 2, opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  // Find a leaf strictly below a chosen internal node; appending there
-  // changes the abstracted interior, so patching must decline and the full
-  // algorithm re-runs.
+  // Find a leaf strictly below a chosen internal node. Appending there
+  // changes the abstracted interior, which the DP's dirty-path recompute
+  // covers like any other append: the patch is taken and equals a cold
+  // run.
   VariableId inner_leaf = kInvalidVariable;
   const AbstractionTree& tree = forest_.tree(0);
   for (const NodeRef& ref : result->vvs.nodes()) {
@@ -346,9 +349,21 @@ TEST_F(OnlineCompressorTest, AppendOnlineFallsBackAcrossTheCut) {
   Status s = AppendOnline(forest_, added, full_size / 2, &*result, opts,
                           &extra);
   ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_FALSE(extra.patched);
-  EXPECT_NE(extra.fallback, RecompressFallback::kNone);
+  EXPECT_TRUE(extra.patched);
+  EXPECT_EQ(extra.fallback, RecompressFallback::kNone);
   EXPECT_TRUE(result->vvs.Validate(forest_).ok());
+
+  auto cold = OptimalSingleTree(result->decision_sample, forest_, 0,
+                                result->adapted_bound);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(result->abstraction.loss.monomial_loss, cold->loss.monomial_loss);
+  EXPECT_EQ(result->abstraction.loss.variable_loss, cold->loss.variable_loss);
+  EXPECT_EQ(result->abstraction.adequate, cold->adequate);
+  std::vector<NodeRef> patched_cut = result->abstraction.vvs.nodes();
+  std::vector<NodeRef> cold_cut = cold->vvs.nodes();
+  std::sort(patched_cut.begin(), patched_cut.end());
+  std::sort(cold_cut.begin(), cold_cut.end());
+  EXPECT_EQ(patched_cut, cold_cut);
 }
 
 TEST_F(OnlineCompressorTest, AppendOnlineRejectsGroupings) {

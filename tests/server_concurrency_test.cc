@@ -174,9 +174,12 @@ class SingleFlightTest : public ::testing::Test {
   }
 
   /// Builds a service whose compress hook runs `hook` after bumping the
-  /// DP-execution counter.
+  /// DP-execution counter. The artifact carries the plans tree as forest
+  /// "plans" and, for requests that need distinct DP states, as "plans0"
+  /// through "plans<extra_forests - 1>".
   std::unique_ptr<ProvenanceService> MakeService(
-      std::function<void(const ArtifactStore::ResultKey&)> hook = nullptr) {
+      std::function<void(const ArtifactStore::ResultKey&)> hook = nullptr,
+      int extra_forests = 0) {
     ServiceOptions options;
     options.eval_threads = 4;
     options.compress_hook = [this, hook](const ArtifactStore::ResultKey& k) {
@@ -188,6 +191,9 @@ class SingleFlightTest : public ::testing::Test {
     load.artifact = "ex";
     load.polys_bytes = polys_bytes_;
     load.forests = {{"plans", plans_bytes_}};
+    for (int f = 0; f < extra_forests; ++f) {
+      load.forests.emplace_back("plans" + std::to_string(f), plans_bytes_);
+    }
     Response resp = service->Load(load);
     EXPECT_TRUE(resp.ok()) << resp.message;
     return service;
@@ -277,24 +283,29 @@ TEST_F(SingleFlightTest, SameKeyBurstRunsDpExactlyOnce) {
 }
 
 TEST_F(SingleFlightTest, DistinctKeyBurstsOverlap) {
-  // Eight requests with eight distinct bounds (eight distinct cache keys).
-  // Each DP blocks at a shared barrier that only opens once ALL eight are
+  // Eight requests on eight distinct forests (eight distinct DP states, so
+  // eight DPs; distinct bounds on one forest would share one state). Each
+  // DP blocks at a shared barrier that only opens once ALL eight are
   // inside their DP simultaneously — if compression were serialized by a
   // service-wide lock, at most one DP could be in flight and the barrier
   // would time out.
   constexpr int kDistinct = 8;
   Barrier barrier(kDistinct);
   std::atomic<int> overlapped{0};
-  auto service = MakeService([&](const ArtifactStore::ResultKey&) {
-    if (barrier.ArriveAndWait()) overlapped.fetch_add(1);
-  });
+  auto service = MakeService(
+      [&](const ArtifactStore::ResultKey&) {
+        if (barrier.ArriveAndWait()) overlapped.fetch_add(1);
+      },
+      kDistinct);
 
-  const uint64_t base = polys_.SizeM() - 1;
+  const uint64_t bound = polys_.SizeM() - 1;
   std::vector<Response> responses(kDistinct);
   std::vector<std::thread> threads;
   for (int c = 0; c < kDistinct; ++c) {
     threads.emplace_back([&, c] {
-      responses[c] = service->Compress(Request(base - c));
+      CompressRequest req = Request(bound);
+      req.forest = "plans" + std::to_string(c);
+      responses[c] = service->Compress(req);
     });
   }
   for (auto& t : threads) t.join();
@@ -338,8 +349,12 @@ TEST_F(SingleFlightTest, FailedDpSharedWithWaitersButNeverCached) {
   }
 
   // Non-poisoning, part 1: the failure was never published to the cache.
-  EXPECT_EQ(service->Compress(Request(1)).code, StatusCode::kInfeasible);
-  EXPECT_EQ(dp_runs_.load(), 2u);  // recomputed, not replayed from a slot
+  // The repeat derives kInfeasible again by re-querying the generation's
+  // cached DP state, so no second DP runs.
+  Response repeat = service->Compress(Request(1));
+  EXPECT_EQ(repeat.code, StatusCode::kInfeasible);
+  EXPECT_FALSE(repeat.cache_hit);
+  EXPECT_EQ(dp_runs_.load(), 1u);
   Response stats_probe = service->Info(InfoRequest{});
   EXPECT_EQ(stats_probe.stats.result_count, 0u);
 
@@ -484,7 +499,30 @@ TEST(ServerConcurrencyDifferentialTest, ConcurrentMatchesSerialByteForByte) {
 
   // Byte-identical: for every successful key, the compressed polynomial
   // set cached by the concurrent service serializes to exactly the bytes
-  // the serial service produced.
+  // the serial service produced. A compress builds no view, so a
+  // compressed Evaluate on each service builds it first (concurrently on
+  // the concurrent one).
+  auto build_view = [&](ProvenanceService& service, const Key& k) {
+    EvaluateRequest req;
+    req.artifact = "rnd";
+    req.compressed = true;
+    req.forest = k.forest;
+    req.algo = k.algo;
+    req.bound = k.bound;
+    return service.Evaluate(req);
+  };
+  std::vector<std::thread> view_threads;
+  for (int t = 0; t < kThreads; ++t) {
+    view_threads.emplace_back([&, t] {
+      for (size_t i = 0; i < keys.size(); ++i) {
+        const size_t k = (i + t) % keys.size();
+        if (!expected[k].ok()) continue;
+        Response resp = build_view(concurrent, keys[k]);
+        EXPECT_TRUE(resp.ok()) << resp.message;
+      }
+    });
+  }
+  for (auto& t : view_threads) t.join();
   auto artifact_of = [](ProvenanceService& s) {
     return s.store().Get("rnd");
   };
@@ -494,6 +532,8 @@ TEST(ServerConcurrencyDifferentialTest, ConcurrentMatchesSerialByteForByte) {
   ASSERT_NE(concurrent_artifact, nullptr);
   for (size_t i = 0; i < keys.size(); ++i) {
     if (!expected[i].ok()) continue;
+    Response serial_view = build_view(serial, keys[i]);
+    ASSERT_TRUE(serial_view.ok()) << serial_view.message;
     ArtifactStore::ResultKey rk{"rnd", serial_artifact->generation,
                                 keys[i].forest, keys[i].bound,
                                 keys[i].algo};
@@ -502,6 +542,12 @@ TEST(ServerConcurrencyDifferentialTest, ConcurrentMatchesSerialByteForByte) {
     auto concurrent_result = concurrent.store().LookupResult(rk);
     ASSERT_NE(serial_result, nullptr) << "key " << i;
     ASSERT_NE(concurrent_result, nullptr) << "key " << i;
+    ASSERT_TRUE(serial_result->view_built) << "key " << i;
+    ASSERT_TRUE(concurrent_result->view_built) << "key " << i;
+    EXPECT_GT(serial_result->compressed.count(), 0u) << "key " << i;
+    EXPECT_EQ(concurrent_result->compressed.SizeM(),
+              expected[i].compressed_monomials)
+        << "key " << i;
     EXPECT_EQ(SerializePolynomialSet(concurrent_result->compressed,
                                      *concurrent_artifact->vars),
               SerializePolynomialSet(serial_result->compressed,

@@ -5,11 +5,13 @@
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "abstraction/abstraction_forest.h"
 #include "algo/optimal_single_tree.h"
+#include "algo/tradeoff_curve.h"
 #include "core/evaluation_backend.h"
 #include "core/valuation.h"
 #include "io/serializer.h"
@@ -999,6 +1001,264 @@ TEST_F(ServiceTest, HandleFrameDispatchesAndSurvivesGarbage) {
   auto bye_resp = DecodeResponse(bye);
   ASSERT_TRUE(bye_resp.ok());
   EXPECT_TRUE(bye_resp->ok());
+}
+
+// -------------------------------------------- compress as a query ----
+
+/// The running example served with a compress hook that counts the full
+/// algorithm runs single-flight executes (for "opt", the DPs that build a
+/// generation's state).
+class RequeryServiceTest : public ServerFixture {
+ protected:
+  void SetUp() override {
+    ServerFixture::SetUp();
+    ServiceOptions options;
+    options.compress_hook = [this](const ArtifactStore::ResultKey&) {
+      dp_runs_.fetch_add(1);
+    };
+    service_ = std::make_unique<ProvenanceService>(options);
+    LoadRequest load;
+    load.artifact = "ex";
+    load.polys_bytes = polys_bytes_;
+    load.forests = {{"plans", plans_bytes_}};
+    ASSERT_TRUE(service_->Load(load).ok());
+    plans_.AddTree(MakeFigure2PlansTree(vars_));
+  }
+
+  CompressRequest Request(uint64_t bound) const {
+    CompressRequest req;
+    req.artifact = "ex";
+    req.forest = "plans";
+    req.bound = bound;
+    return req;
+  }
+
+  std::atomic<int> dp_runs_{0};
+  std::unique_ptr<ProvenanceService> service_;
+  AbstractionForest plans_;
+};
+
+TEST_F(RequeryServiceTest, EightBoundsOnOneGenerationRunOneDp) {
+  const size_t size_m = polys_.SizeM();
+  for (size_t b = 0; b < 8; ++b) {
+    const size_t bound = size_m - b;
+    Response resp = service_->Compress(Request(bound));
+    auto cold = OptimalSingleTree(polys_, plans_, 0, bound);
+    ASSERT_EQ(resp.code, cold.status().code()) << resp.message;
+    EXPECT_FALSE(resp.cache_hit);
+    if (!cold.ok()) continue;
+    EXPECT_EQ(resp.monomial_loss, cold->loss.monomial_loss);
+    EXPECT_EQ(resp.variable_loss, cold->loss.variable_loss);
+    EXPECT_EQ(resp.adequate, cold->adequate);
+    EXPECT_EQ(resp.vvs, cold->Describe(plans_, vars_));
+  }
+  EXPECT_EQ(dp_runs_.load(), 1);
+  EXPECT_EQ(service_->store().stats().state_count, 1u);
+}
+
+TEST_F(RequeryServiceTest, CompressBuildsNoViewAndTheFirstReadBuildsIt) {
+  const size_t size_m = polys_.SizeM();
+  std::vector<Response> compressed;
+  for (size_t b = 1; b <= 3; ++b) {
+    compressed.push_back(service_->Compress(Request(size_m - b)));
+    ASSERT_TRUE(compressed.back().ok()) << compressed.back().message;
+  }
+  auto built = [&] {
+    ProvenanceService::ViewBuildStats stats = service_->view_build_stats();
+    return stats.extended + stats.cut_changed + stats.full;
+  };
+  EXPECT_EQ(built(), 0u);
+  auto artifact = service_->store().Get("ex");
+  ArtifactStore::ResultKey key{"ex", artifact->generation, "plans",
+                               size_m - 1, "opt"};
+  auto entry = service_->store().PeekResult(key);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_FALSE(entry->view_built);
+  EXPECT_EQ(entry->compressed.count(), 0u);
+
+  EvaluateRequest eval;
+  eval.artifact = "ex";
+  eval.compressed = true;
+  eval.forest = "plans";
+  eval.bound = size_m - 1;
+  Response first = service_->Evaluate(eval);
+  ASSERT_TRUE(first.ok()) << first.message;
+  EXPECT_TRUE(first.cache_hit);
+  EXPECT_EQ(built(), 1u);
+  EXPECT_EQ(service_->view_build_stats().full, 1u);
+  Response second = service_->Evaluate(eval);
+  ASSERT_TRUE(second.ok()) << second.message;
+  EXPECT_EQ(second.values, first.values);
+  EXPECT_EQ(built(), 1u);
+
+  // The view was republished under the same key and is a cold Apply.
+  entry = service_->store().PeekResult(key);
+  ASSERT_NE(entry, nullptr);
+  ASSERT_TRUE(entry->view_built);
+  EXPECT_EQ(entry->compressed.SizeM(), compressed[0].compressed_monomials);
+  const AbstractionForest& served = *artifact->FindForest("plans");
+  auto cold = OptimalSingleTree(artifact->polys, served, 0, size_m - 1);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(
+      SerializePolynomialSet(entry->compressed, *artifact->vars),
+      SerializePolynomialSet(cold->Apply(served, artifact->polys),
+                             *artifact->vars));
+  EXPECT_EQ(dp_runs_.load(), 1);
+}
+
+TEST_F(RequeryServiceTest, StateIsChargedOnceAcrossBounds) {
+  const size_t size_m = polys_.SizeM();
+  const uint64_t empty = service_->store().stats().cached_bytes;
+  ASSERT_TRUE(service_->Compress(Request(size_m)).ok());
+  auto artifact = service_->store().Get("ex");
+  auto result_bytes = [&](uint64_t bound) {
+    auto entry = service_->store().PeekResult(
+        {"ex", artifact->generation, "plans", bound, "opt"});
+    EXPECT_NE(entry, nullptr);
+    EXPECT_FALSE(entry->view_built);
+    return entry == nullptr ? uint64_t{0} : uint64_t{entry->approx_bytes};
+  };
+  const uint64_t after_first = service_->store().stats().cached_bytes;
+  const uint64_t state_bytes = after_first - empty - result_bytes(size_m);
+  EXPECT_GT(state_bytes, 0u);
+  uint64_t results = 0;
+  for (size_t b = 1; b <= 5; ++b) {
+    Response resp = service_->Compress(Request(size_m - b));
+    ASSERT_TRUE(resp.ok()) << resp.message;
+    results += result_bytes(size_m - b);
+  }
+  ArtifactStore::Stats stats = service_->store().stats();
+  EXPECT_EQ(stats.cached_bytes, after_first + results);
+  EXPECT_EQ(stats.state_count, 1u);
+  EXPECT_EQ(stats.result_count, 6u);
+  EXPECT_EQ(dp_runs_.load(), 1);
+}
+
+TEST_F(RequeryServiceTest, TradeoffReadsTheGenerationState) {
+  auto same_points = [](const std::vector<TradeoffPoint>& a,
+                        const std::vector<TradeoffPoint>& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i].size_m != b[i].size_m ||
+          a[i].variable_loss != b[i].variable_loss) {
+        return false;
+      }
+    }
+    return true;
+  };
+  TradeoffRequest req;
+  req.artifact = "ex";
+  req.forest = "plans";
+  Response first = service_->Tradeoff(req);
+  ASSERT_TRUE(first.ok()) << first.message;
+  auto want = OptimalTradeoffCurve(polys_, plans_, 0);
+  ASSERT_TRUE(want.ok());
+  EXPECT_TRUE(same_points(first.points, *want));
+  EXPECT_EQ(dp_runs_.load(), 1);
+  Response second = service_->Tradeoff(req);
+  ASSERT_TRUE(second.ok());
+  EXPECT_TRUE(same_points(second.points, *want));
+  EXPECT_EQ(dp_runs_.load(), 1) << "a second Tradeoff ran a DP";
+  // Compresses at any bound re-query the same state.
+  for (size_t b = 0; b < 4; ++b) {
+    Response resp = service_->Compress(Request(polys_.SizeM() - b));
+    ASSERT_TRUE(resp.ok() || resp.code == StatusCode::kInfeasible);
+  }
+  EXPECT_EQ(dp_runs_.load(), 1);
+
+  // An appended generation: the patched state's clamp is the old |P|_M,
+  // below the new one, so the curve rebuilds it once.
+  PolynomialSet extra;
+  extra.Add(polys_.polynomials().front());
+  AppendRequest append;
+  append.artifact = "ex";
+  append.polys_bytes = SerializePolynomialSet(extra, vars_);
+  ASSERT_TRUE(service_->Append(append).ok());
+  PolynomialSet grown = polys_;
+  grown.Add(polys_.polynomials().front());
+  auto grown_want = OptimalTradeoffCurve(grown, plans_, 0);
+  ASSERT_TRUE(grown_want.ok());
+  Response appended = service_->Tradeoff(req);
+  ASSERT_TRUE(appended.ok()) << appended.message;
+  EXPECT_TRUE(same_points(appended.points, *grown_want));
+  EXPECT_EQ(dp_runs_.load(), 2);
+  ASSERT_TRUE(service_->Tradeoff(req).ok());
+  EXPECT_EQ(dp_runs_.load(), 2);
+}
+
+/// |P↓S|_M = |P|_M − ML for every algorithm, so a compress reports the
+/// view's size without building it. Checked against the size of a cold
+/// Apply and of the view a read builds.
+TEST(CompressedMonomialsTest, EqualsTheViewSizeForEveryAlgorithm) {
+  struct Instance {
+    std::string name;
+    VariableTable vars;
+    PolynomialSet polys;
+    AbstractionForest forest;
+  };
+  std::vector<Instance> instances(2);
+  instances[0].name = "running example";
+  instances[0].polys =
+      RunRunningExampleQuery(MakeRunningExample(instances[0].vars));
+  instances[0].forest.AddTree(MakeFigure2PlansTree(instances[0].vars));
+  {
+    TelephonyConfig config;
+    config.num_customers = 60;
+    config.num_plans = 8;
+    config.num_months = 4;
+    config.num_zip_codes = 6;
+    Rng rng(2026);
+    Instance& tel = instances[1];
+    tel.name = "telephony";
+    TelephonyVars tv = MakeTelephonyVars(tel.vars, config);
+    tel.polys = RunTelephonyQuery(GenerateTelephony(config, rng), tv);
+    tel.forest.AddTree(
+        BuildUniformTree(tel.vars, tv.plan_vars, {2, 2}, "CM_"));
+  }
+  for (Instance& in : instances) {
+    ProvenanceService service;
+    LoadRequest load;
+    load.artifact = "a";
+    load.polys_bytes = SerializePolynomialSet(in.polys, in.vars);
+    load.forests = {{"f", SerializeForest(in.forest, in.vars)}};
+    ASSERT_TRUE(service.Load(load).ok()) << in.name;
+    auto artifact = service.store().Get("a");
+    const size_t size_m = in.polys.SizeM();
+    for (const std::string algo : {"opt", "greedy", "brute", "prox"}) {
+      const Compressor* compressor = CompressorRegistry::Default().Find(algo);
+      ASSERT_NE(compressor, nullptr);
+      for (size_t bound : {size_m - 1, size_m - size_m / 8, size_m / 2}) {
+        SCOPED_TRACE(in.name + " " + algo + " bound " +
+                     std::to_string(bound));
+        CompressRequest req;
+        req.artifact = "a";
+        req.forest = "f";
+        req.algo = algo;
+        req.bound = bound;
+        Response resp = service.Compress(req);
+        CompressOptions copts;
+        copts.bound = bound;
+        auto cold = compressor->Compress(in.polys, in.forest, copts);
+        ASSERT_EQ(resp.code, cold.status().code()) << resp.message;
+        if (!cold.ok()) continue;
+        EXPECT_EQ(resp.compressed_monomials,
+                  cold->Apply(in.forest, in.polys).SizeM());
+
+        EvaluateRequest eval;
+        eval.artifact = "a";
+        eval.compressed = true;
+        eval.forest = "f";
+        eval.algo = algo;
+        eval.bound = bound;
+        ASSERT_TRUE(service.Evaluate(eval).ok());
+        auto entry = service.store().PeekResult(
+            {"a", artifact->generation, "f", bound, algo});
+        ASSERT_NE(entry, nullptr);
+        ASSERT_TRUE(entry->view_built);
+        EXPECT_EQ(entry->compressed.SizeM(), resp.compressed_monomials);
+      }
+    }
+  }
 }
 
 // ------------------------------------------- incremental append path --

@@ -1045,13 +1045,15 @@ int CmdRemoteCompress(const Args& args) {
               static_cast<unsigned long long>(resp->stats.result_misses));
   // Four disjoint outcomes: answered from cache, waited on an identical
   // request's in-flight run (dedup), patched a cached predecessor
-  // generation's DP state, or ran the full DP on the server thread.
+  // generation's DP state, or computed on the server thread (for "opt" a
+  // re-query of the generation's DP state, which runs the DP only when no
+  // cached state covers the bound).
   std::printf("single-flight: %s (%llu dedup hits total)\n",
               resp->cache_hit     ? "cache hit, no DP involved"
               : resp->dedup_hit   ? "waited on an in-flight DP"
               : resp->delta_patched
                   ? "patched a predecessor generation (full DP skipped)"
-                  : "ran the DP",
+                  : "computed (DP or re-query)",
               static_cast<unsigned long long>(resp->stats.dedup_hits));
   return 0;
 }
