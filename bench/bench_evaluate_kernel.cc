@@ -6,8 +6,11 @@
 ///   compiled  : CompiledPolynomialSet CSR arrays + DenseValuation (flat
 ///               sequential walks, one hash probe per distinct variable
 ///               per scenario),
-///   parallel  : the compiled kernel chunked across a ThreadPool
-///               (ParallelEvaluateAll).
+///   parallel  : the serving evaluator (EvaluateBatcher) over a ThreadPool,
+///               auto-routed on the artifact's snapshot; it splits a call
+///               across the pool only above EvaluateBatcher::kSplitWork
+///               scenarios × monomials, so these width-1 calls run on the
+///               calling thread (bench_parallel_scaling times the split).
 /// All three produce bitwise-identical values (asserted per scenario); the
 /// driver exits nonzero on any mismatch, so the bench smoke CI step doubles
 /// as an end-to-end equivalence check. Compile cost is reported separately:
@@ -55,8 +58,8 @@
 #include "core/evaluation_backend.h"
 #include "core/valuation.h"
 #include "jit/jit_backend.h"
-#include "parallel/parallel_compress.h"
 #include "parallel/thread_pool.h"
+#include "server/evaluate_batcher.h"
 
 namespace provabs::bench {
 namespace {
@@ -238,6 +241,8 @@ bool Run() {
     Timer compile_timer;
     std::shared_ptr<const CompiledPolynomialSet> compiled = w.polys.Compiled();
     const double compile_ms = compile_timer.ElapsedMillis();
+    auto shared = std::make_shared<const PolynomialSet>(w.polys);
+    EvaluateBatcher evaluator(pool);
 
     double t_naive = 0, t_compiled = 0, t_parallel = 0;
     std::vector<Valuation> scenarios;
@@ -261,7 +266,7 @@ bool Run() {
       t_compiled += t2.ElapsedSeconds();
 
       Timer t3;
-      std::vector<double> par = ParallelEvaluateAll(val, w.polys, pool);
+      std::vector<double> par = *evaluator.Evaluate(shared, val);
       t_parallel += t3.ElapsedSeconds();
 
       if (!BitwiseEqual(naive, fast) || !BitwiseEqual(naive, par)) {

@@ -1,13 +1,28 @@
 /// Extension bench: multi-core scaling of the compression/evaluation
 /// primitives (the paper's offline deployment runs on strong hardware
 /// [24]). Sweeps the thread count for the registry-routed compression
-/// (default: brute force, the one with a parallel implementation) and the
-/// scenario-batch evaluation; serial equivalents included as the baseline.
-/// `--algo NAME[,NAME...]` selects other registered algorithms — those
-/// without a parallel variant run their serial implementation on every
-/// thread count, making the flat line visible rather than implied.
+/// (default: brute force, the one with a parallel implementation), with the
+/// serial run as the baseline. `--algo NAME[,NAME...]` selects other
+/// registered algorithms — those without a parallel variant run their
+/// serial implementation on every thread count, making the flat line
+/// visible rather than implied.
+///
+/// The evaluation table times the serving evaluator (EvaluateBatcher) per
+/// call on a warm compiled form past the jit break-even, on a TPC-H Q10
+/// view compressed at half its feasible loss and on the raw running
+/// example (the views servebench's evaluate-compressed and scenario-sweep
+/// serve), at widths 1/16/64/256/1024 and pool sizes 1/2/4. Each cell prints
+/// one backend call run directly on the calling thread against the same
+/// call split into monomial-balanced ranges (MonomialBalancedRanges) across
+/// the pool, with work = scenarios × monomials, and what the evaluator
+/// itself takes (it splits above EvaluateBatcher::kSplitWork, which is read
+/// off this table). Every split and evaluator answer is checked bitwise
+/// against the direct one, and the driver exits 1 on a mismatch.
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,16 +30,18 @@
 #include "bench/bench_util.h"
 #include "common/timer.h"
 #include "core/valuation.h"
+#include "jit/jit_backend.h"
 #include "parallel/parallel_compress.h"
 #include "parallel/thread_pool.h"
+#include "server/evaluate_batcher.h"
 #include "workload/tree_gen.h"
 
 namespace provabs::bench {
 namespace {
 
 void Run(const std::vector<std::string>& algos) {
-  PrintHeader("Parallel scaling: registry compression and scenario "
-              "evaluation");
+  PrintHeader("Parallel scaling: registry compression, and evaluation "
+              "direct against split");
 
   Workload w = MakeTelephonyWorkload(0.5 * BenchScale());
   AbstractionForest forest;
@@ -51,24 +68,134 @@ void Run(const std::vector<std::string>& algos) {
                   t.ElapsedSeconds());
     }
   }
+}
 
-  // Scenario batch evaluation.
-  Valuation val;
-  for (VariableId v : w.tree_leaves) val.Set(v, 0.9);
-  Timer t_eval;
-  auto serial_answers = val.EvaluateAll(w.polys);
-  double eval_serial_s = t_eval.ElapsedSeconds();
-  std::printf("%-24s %10s %12.4f\n", "evaluate-all", "serial",
-              eval_serial_s);
-  for (size_t threads : {1u, 2u, 4u, 8u}) {
-    ThreadPool pool(threads);
+/// Median over five samples of the mean time of one `call`, in µs; each
+/// sample repeats the call for about 10 ms.
+template <typename Call>
+double MedianCallUs(Call call) {
+  Timer once;
+  call();
+  const double first_s = std::max(once.ElapsedSeconds(), 1e-7);
+  const int reps = static_cast<int>(std::clamp(0.01 / first_s, 1.0, 1e5));
+  std::vector<double> samples;
+  for (int k = 0; k < 5; ++k) {
     Timer t;
-    auto answers = ParallelEvaluateAll(val, w.polys, pool);
-    (void)answers;
-    std::printf("%-24s %10zu %12.4f\n", "evaluate-all", threads,
-                t.ElapsedSeconds());
+    for (int r = 0; r < reps; ++r) call();
+    samples.push_back(t.ElapsedSeconds() * 1e6 / reps);
   }
-  (void)serial_answers;
+  std::sort(samples.begin(), samples.end());
+  return samples[2];
+}
+
+/// Returns false when a split or evaluator answer differs from the direct
+/// one.
+bool RunEvaluateTable() {
+  struct View {
+    std::string name;
+    std::shared_ptr<const PolynomialSet> polys;
+  };
+  std::vector<View> views;
+  {
+    Workload q10 = MakeTpchWorkload(TpchQuery::kQ10, "tpch-q10");
+    AbstractionForest forest;
+    forest.AddTree(
+        BuildUniformTree(*q10.vars, q10.tree_leaves, {4, 4}, "EVC_"));
+    CompressOptions options;
+    options.bound = FeasibleBound(q10.polys, forest, 0.5);
+    auto result =
+        CompressorRegistry::Default().Find("opt")->Compress(q10.polys, forest,
+                                                            options);
+    if (result.ok()) {
+      views.push_back({"q10-view", std::make_shared<PolynomialSet>(
+                                       result->Apply(forest, q10.polys))});
+    }
+    Workload telephony = MakeTelephonyWorkload();
+    views.push_back(
+        {"telephony", std::make_shared<PolynomialSet>(telephony.polys)});
+  }
+
+  bool all_equal = true;
+  std::printf("\n%-10s %6s %9s %6s %11s %8s %11s %11s %8s %11s\n", "view",
+              "polys", "monomials", "width", "work", "threads", "direct[us]",
+              "split[us]", "split/dir", "served[us]");
+  for (const View& view : views) {
+    std::shared_ptr<const CompiledPolynomialSet> compiled =
+        view.polys->Compiled();
+    // Past the jit break-even, as a long-lived served view is.
+    compiled->CountInterpretedScenarios(kJitBreakEvenScenarios);
+    const std::vector<VariableId>& slots = compiled->slot_variables();
+    for (size_t width : {1u, 16u, 64u, 256u, 1024u}) {
+      std::vector<DenseValuation> family;
+      for (size_t s = 0; s < width; ++s) {
+        Valuation val;
+        for (size_t i = 0; i < slots.size(); ++i) {
+          if ((i + s) % 3 != 0) val.Set(slots[i], 0.5 + 0.01 * ((i + s) % 97));
+        }
+        family.push_back(compiled->MaterializeValuation(val));
+      }
+      std::vector<std::vector<double>> direct_out(
+          width, std::vector<double>(compiled->poly_count()));
+      std::vector<std::vector<double>> split_out = direct_out;
+      std::vector<std::vector<double>> served;
+      std::vector<const DenseValuation*> in;
+      std::vector<double*> direct_ptrs, split_ptrs;
+      for (size_t s = 0; s < width; ++s) {
+        in.push_back(&family[s]);
+        direct_ptrs.push_back(direct_out[s].data());
+        split_ptrs.push_back(split_out[s].data());
+      }
+      for (size_t threads : {1u, 2u, 4u}) {
+        ThreadPool pool(threads);
+        EvaluateBatcher evaluator(pool);
+        const EvaluationBackend* backend =
+            *EvaluationBackendRegistry::Default().ResolveForBatch(
+                "", width, compiled.get());
+        const std::vector<size_t> bounds =
+            MonomialBalancedRanges(*compiled, threads);
+        const double direct_us = MedianCallUs([&] {
+          (void)backend->EvaluateBatch(*compiled, 0, compiled->poly_count(),
+                                       in.data(), direct_ptrs.data(), width);
+        });
+        const double split_us = MedianCallUs([&] {
+          pool.ParallelFor(bounds.size() - 1, [&](size_t r) {
+            std::vector<double*> shifted(width);
+            for (size_t s = 0; s < width; ++s) {
+              shifted[s] = split_ptrs[s] + bounds[r];
+            }
+            (void)backend->EvaluateBatch(*compiled, bounds[r], bounds[r + 1],
+                                         in.data(), shifted.data(), width);
+          });
+        });
+        const double served_us = MedianCallUs([&] {
+          served = *evaluator.EvaluateDense(view.polys, compiled, family);
+        });
+        for (size_t s = 0; s < width; ++s) {
+          const size_t bytes = direct_out[s].size() * sizeof(double);
+          if (std::memcmp(direct_out[s].data(), split_out[s].data(), bytes) !=
+                  0 ||
+              std::memcmp(direct_out[s].data(), served[s].data(), bytes) !=
+                  0) {
+            std::printf("MISMATCH %s width %zu scenario %zu\n",
+                        view.name.c_str(), width, s);
+            all_equal = false;
+          }
+        }
+        std::printf(
+            "%-10s %6zu %9zu %6zu %11llu %8zu %11.1f %11.1f %8.2f %11.1f\n",
+            view.name.c_str(), compiled->poly_count(),
+            compiled->monomial_count(), width,
+            static_cast<unsigned long long>(width *
+                                            compiled->monomial_count()),
+            threads, direct_us, split_us,
+            direct_us > 0 ? split_us / direct_us : 0.0, served_us);
+      }
+    }
+  }
+  std::printf("served = the evaluator as the server runs it: split when "
+              "work > %llu\n",
+              static_cast<unsigned long long>(EvaluateBatcher::kSplitWork));
+  return all_equal;
 }
 
 }  // namespace
@@ -76,5 +203,5 @@ void Run(const std::vector<std::string>& algos) {
 
 int main(int argc, char** argv) {
   provabs::bench::Run(provabs::bench::SelectedAlgos(argc, argv, {"brute"}));
-  return 0;
+  return provabs::bench::RunEvaluateTable() ? 0 : 1;
 }

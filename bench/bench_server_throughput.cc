@@ -2,9 +2,9 @@
 /// provenance server exists for (ROADMAP "serving layer"): (1) the
 /// artifact cache turning repeat compressions into O(1) lookups, and a
 /// generation's retained DP state turning a compress at a new bound into a
-/// re-query, (2) the evaluate batcher coalescing concurrent analyst
-/// valuations onto one thread pool versus each request running EvaluateAll
-/// alone, and (3) the single-flight layer collapsing a same-key burst of
+/// re-query, (2) concurrent analysts' valuations through the serving
+/// evaluator (each on its own thread, split across the pool only above
+/// EvaluateBatcher::kSplitWork) versus one serial EvaluateAll loop, and (3) the single-flight layer collapsing a same-key burst of
 /// concurrent compress requests to one DP run, and a burst at distinct
 /// bounds to one DP as well.
 
@@ -30,7 +30,7 @@ namespace {
 
 /// Returns false when a same-run floor fails.
 bool Run(const std::vector<std::string>& algos) {
-  PrintHeader("Serving layer: compression cache and evaluate batching");
+  PrintHeader("Serving layer: compression cache and concurrent evaluation");
   bool floors_hold = true;
 
   Workload w = MakeTelephonyWorkload();
@@ -114,7 +114,8 @@ bool Run(const std::vector<std::string>& algos) {
   std::printf("SRVSTAT metric=requery_compress ratio=%.1f\n", requery_ratio);
   floors_hold &= RatioFloorHolds("requery_compress", requery_ratio, 30.0);
 
-  // (2) Evaluation: per-request serial loop vs batched concurrent clients.
+  // (2) Evaluation: per-request serial loop vs concurrent clients through
+  // the serving evaluator.
   const int kClients = 8;
   const int kRequestsPerClient = 50;
   std::vector<Valuation> valuations;
@@ -154,13 +155,13 @@ bool Run(const std::vector<std::string>& algos) {
               "total[s]", "req/s", "speedup");
   std::printf("%-28s %14.4f %16.0f %10s\n", "serial loop", serial_s,
               total / serial_s, "1x");
-  std::printf("%-28s %14.4f %16.0f %9.1fx\n", "batched (pool)", batched_s,
-              total / batched_s, serial_s / batched_s);
+  std::printf("%-28s %14.4f %16.0f %9.1fx\n", "evaluator (8 threads)",
+              batched_s, total / batched_s, serial_s / batched_s);
   EvaluateBatcher::Stats stats = batcher.stats();
-  std::printf("batcher: %llu requests in %llu batches (max batch %llu)\n",
+  std::printf("evaluator: %llu requests in %llu calls (%llu backend calls)\n",
               static_cast<unsigned long long>(stats.requests),
-              static_cast<unsigned long long>(stats.batches),
-              static_cast<unsigned long long>(stats.max_batch));
+              static_cast<unsigned long long>(stats.calls),
+              static_cast<unsigned long long>(stats.backend_calls));
 
   // (3) Concurrent compression. Reloading the artifact bumps its
   // generation, so every burst below starts cold (no cached result or DP

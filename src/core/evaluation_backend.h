@@ -24,9 +24,9 @@ class Valuation;
 /// across a batch of scenarios — structure-of-arrays DenseValuation lanes,
 /// the batched-evaluation shape the incremental-maintenance literature uses
 /// to make per-answer work sublinear. This header is the seam through which
-/// every evaluation path (Valuation::EvaluateAll, ParallelEvaluateAll, the
-/// serving EvaluateBatcher, the CLI, the benches) selects a strategy by
-/// name, exactly how algo/compressor.h routes compression: adding a backend
+/// every evaluation path (Valuation::EvaluateAll, the serving
+/// EvaluateBatcher, the CLI, the benches) selects a strategy by name,
+/// exactly how algo/compressor.h routes compression: adding a backend
 /// means registering one adapter, and the cross-backend differential
 /// battery gates it for free — the route the per-artifact JIT
 /// (jit/jit_backend.h) arrived through.
@@ -66,8 +66,8 @@ struct EvaluationBackendInfo {
 };
 
 /// One evaluation strategy. Implementations must be stateless and
-/// thread-safe: the serving layer calls a single instance from many pool
-/// workers concurrently, each on a disjoint polynomial range.
+/// thread-safe: the serving layer calls a single instance from many
+/// request and pool threads concurrently.
 class EvaluationBackend {
  public:
   virtual ~EvaluationBackend() = default;

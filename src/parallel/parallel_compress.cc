@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 
 #include "abstraction/cut_counter.h"
 #include "abstraction/valid_variable_set.h"
-#include "common/macros.h"
-#include "core/compiled_polynomial_set.h"
-#include "core/evaluation_backend.h"
 
 namespace provabs {
 
@@ -111,92 +107,6 @@ StatusOr<CompressionResult> ParallelBruteForce(
     return Status::Infeasible("no valid variable set is adequate for bound");
   }
   return best;
-}
-
-namespace {
-
-/// Polynomials per parallel chunk. Coarse enough that chunk dispatch is
-/// noise, fine enough to load-balance uneven polynomial sizes.
-constexpr size_t kPolysPerChunk = 64;
-
-size_t ChunkCount(size_t poly_count, const ThreadPool& pool) {
-  const size_t by_size = (poly_count + kPolysPerChunk - 1) / kPolysPerChunk;
-  return std::max<size_t>(1, std::min(by_size, pool.thread_count()));
-}
-
-}  // namespace
-
-std::vector<double> ParallelEvaluateAll(const Valuation& valuation,
-                                        const PolynomialSet& polys,
-                                        ThreadPool& pool) {
-  // Compile (cached on the set) and materialize the valuation once, then
-  // chunk the flat CSR arrays across the pool: each worker routes one
-  // contiguous polynomial range through the backend registry's auto policy
-  // (the highest available single-scenario tier — jit, or compiled when
-  // executable memory is unavailable; all backends are bitwise identical
-  // by contract, so the output matches Valuation::EvaluateAll exactly).
-  std::shared_ptr<const CompiledPolynomialSet> compiled = polys.Compiled();
-  const DenseValuation dense = compiled->MaterializeValuation(valuation);
-  std::vector<double> out(compiled->poly_count());
-  StatusOr<const EvaluationBackend*> backend =
-      EvaluationBackendRegistry::Default().ResolveForBatch("", 1);
-  PROVABS_CHECK(backend.ok());
-  const size_t poly_count = compiled->poly_count();
-  const size_t chunks = ChunkCount(poly_count, pool);
-  const size_t per_chunk = (poly_count + chunks - 1) / chunks;
-  pool.ParallelFor(chunks, [&](size_t chunk) {
-    const size_t begin = chunk * per_chunk;
-    const size_t end = std::min(poly_count, begin + per_chunk);
-    if (begin >= end) return;
-    const DenseValuation* scenario = &dense;
-    double* out_ptr = out.data() + begin;
-    Status status = (*backend)->EvaluateBatch(*compiled, begin, end,
-                                              &scenario, &out_ptr, 1);
-    PROVABS_CHECK(status.ok());
-  });
-  return out;
-}
-
-StatusOr<std::vector<std::vector<double>>> ParallelEvaluateScenarios(
-    const std::vector<Valuation>& scenarios, const PolynomialSet& polys,
-    ThreadPool& pool, const std::string& backend_name) {
-  std::shared_ptr<const CompiledPolynomialSet> compiled = polys.Compiled();
-  StatusOr<const EvaluationBackend*> backend =
-      EvaluationBackendRegistry::Default().ResolveForBatch(backend_name,
-                                                           scenarios.size());
-  if (!backend.ok()) return backend.status();
-
-  const size_t n = scenarios.size();
-  const size_t poly_count = compiled->poly_count();
-  std::vector<std::vector<double>> out(n, std::vector<double>(poly_count));
-  std::vector<DenseValuation> dense;
-  dense.reserve(n);
-  for (const Valuation& scenario : scenarios) {
-    dense.push_back(compiled->MaterializeValuation(scenario));
-  }
-  std::vector<const DenseValuation*> dense_ptrs(n);
-  for (size_t s = 0; s < n; ++s) dense_ptrs[s] = &dense[s];
-  if (n == 0 || poly_count == 0) return out;
-
-  // Parallelism stays over POLYNOMIAL ranges (one EvaluateBatch per chunk
-  // carrying the whole scenario batch), so the chosen backend keeps full
-  // lanes regardless of the pool width.
-  const size_t chunks = ChunkCount(poly_count, pool);
-  const size_t per_chunk = (poly_count + chunks - 1) / chunks;
-  std::vector<Status> chunk_status(chunks);
-  pool.ParallelFor(chunks, [&](size_t chunk) {
-    const size_t begin = chunk * per_chunk;
-    const size_t end = std::min(poly_count, begin + per_chunk);
-    if (begin >= end) return;
-    std::vector<double*> out_ptrs(n);
-    for (size_t s = 0; s < n; ++s) out_ptrs[s] = out[s].data() + begin;
-    chunk_status[chunk] = (*backend)->EvaluateBatch(
-        *compiled, begin, end, dense_ptrs.data(), out_ptrs.data(), n);
-  });
-  for (const Status& status : chunk_status) {
-    if (!status.ok()) return status;
-  }
-  return out;
 }
 
 StatusOr<CompressionResult> ParallelCompress(const PolynomialSet& polys,

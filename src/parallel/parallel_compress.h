@@ -11,17 +11,16 @@
 #include "algo/optimal_single_tree.h"
 #include "common/statusor.h"
 #include "core/polynomial_set.h"
-#include "core/valuation.h"
 #include "parallel/thread_pool.h"
 
 namespace provabs {
 
-/// Multi-core variants of the compression and evaluation primitives. The
-/// paper's offline deployment computes provenance on powerful hardware
-/// (§1, citing the distributed-provenance line [24]); these helpers use
-/// that hardware for the compression step without changing any semantics —
-/// each function is bit-identical to its serial counterpart (asserted by
-/// tests).
+/// Multi-core variants of the compression primitives. The paper's offline
+/// deployment computes provenance on powerful hardware (§1, citing the
+/// distributed-provenance line [24]); these helpers use that hardware for
+/// the compression step without changing any semantics — each function is
+/// bit-identical to its serial counterpart (asserted by tests). Evaluation
+/// splits across a pool through EvaluateBatcher (server/evaluate_batcher.h).
 
 /// Per-node singleton-cut losses for one tree, computed in parallel over
 /// nodes (each NodeLoss reads the shared residual index independently).
@@ -36,27 +35,6 @@ std::vector<LossReport> ParallelNodeLosses(const PolynomialSet& polys,
 StatusOr<CompressionResult> ParallelBruteForce(
     const PolynomialSet& polys, const AbstractionForest& forest,
     size_t bound_b, ThreadPool& pool, const BruteForceOptions& options = {});
-
-/// Evaluates every polynomial under `valuation` using the pool, routing
-/// contiguous polynomial chunks through the evaluation-backend registry
-/// (core/evaluation_backend.h); bitwise identical to
-/// Valuation::EvaluateAll.
-std::vector<double> ParallelEvaluateAll(const Valuation& valuation,
-                                        const PolynomialSet& polys,
-                                        ThreadPool& pool);
-
-/// Batched what-if evaluation over the pool: every scenario against every
-/// polynomial of the set, through the backend chosen by
-/// EvaluationBackendRegistry::ResolveForBatch(backend_name, #scenarios)
-/// (empty name = auto: simd_batch once the batch reaches its preferred
-/// width). Workers split POLYNOMIAL ranges, each carrying the full scenario
-/// batch, so the backend keeps full SIMD lanes at any pool width.
-/// result[s][p] = value of polynomial p under scenarios[s], bitwise
-/// identical to Valuation::Evaluate. Unknown backend names fail listing the
-/// registered set.
-StatusOr<std::vector<std::vector<double>>> ParallelEvaluateScenarios(
-    const std::vector<Valuation>& scenarios, const PolynomialSet& polys,
-    ThreadPool& pool, const std::string& backend_name = "");
 
 /// Registry-routed compression with pool acceleration where it exists:
 /// "brute" runs ParallelBruteForce over `pool`; every other registered

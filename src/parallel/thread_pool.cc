@@ -41,17 +41,24 @@ void ThreadPool::Wait() {
 void ThreadPool::ParallelFor(size_t n,
                              const std::function<void(size_t)>& body) {
   if (n == 0) return;
-  const size_t chunks = std::min(n, thread_count());
-  const size_t per_chunk = (n + chunks - 1) / chunks;
-  for (size_t c = 0; c < chunks; ++c) {
-    const size_t begin = c * per_chunk;
+  const size_t per_chunk = (n + thread_count() - 1) / thread_count();
+  // This call's unfinished chunks, guarded by mutex_. The caller waits for
+  // them alone, not for every in-flight task as Wait() does, so callers
+  // sharing the pool never wait on each other's work.
+  size_t pending = (n + per_chunk - 1) / per_chunk;
+  std::condition_variable chunks_done;
+  for (size_t begin = 0; begin < n; begin += per_chunk) {
     const size_t end = std::min(n, begin + per_chunk);
-    if (begin >= end) break;
-    Submit([begin, end, &body] {
+    Submit([this, begin, end, &body, &pending, &chunks_done] {
       for (size_t i = begin; i < end; ++i) body(i);
+      // Notified under the lock, so the caller cannot return and destroy
+      // `chunks_done` before the notify is over.
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (--pending == 0) chunks_done.notify_one();
     });
   }
-  Wait();
+  std::unique_lock<std::mutex> lock(mutex_);
+  chunks_done.wait(lock, [&pending] { return pending == 0; });
 }
 
 void ThreadPool::WorkerLoop() {

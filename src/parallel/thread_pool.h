@@ -31,11 +31,13 @@ class ThreadPool {
   /// Enqueues a task.
   void Submit(std::function<void()> task);
 
-  /// Blocks until every submitted task has finished.
+  /// Blocks until every submitted task has finished, other callers' too.
   void Wait();
 
-  /// Runs `body(i)` for i in [0, n), split into `thread_count()`-sized
-  /// contiguous chunks across the pool, and blocks until done.
+  /// Runs `body(i)` for i in [0, n), split into at most `thread_count()`
+  /// contiguous chunks across the pool, and blocks until those chunks are
+  /// done. Callers on many threads may share the pool: each waits only for
+  /// its own chunks.
   void ParallelFor(size_t n, const std::function<void(size_t)>& body);
 
  private:

@@ -1,10 +1,9 @@
 #ifndef PROVABS_SERVER_EVALUATE_BATCHER_H_
 #define PROVABS_SERVER_EVALUATE_BATCHER_H_
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -17,40 +16,36 @@
 
 namespace provabs {
 
-/// Coalesces concurrent what-if evaluations onto one ThreadPool.
+/// Runs what-if evaluations on the calling thread.
 ///
 /// The serving workload is many analysts firing small valuation requests at
-/// a resident compressed artifact (the Fig. 10 interaction, repeated). Run
-/// naively, each request would wake the pool for a single pass over the
-/// polynomials — and ThreadPool::Wait() waits for *all* in-flight tasks, so
-/// concurrent ParallelFor calls from different connection threads would
-/// stall on each other's work. The batcher turns that interference into
-/// throughput: the first caller becomes the batch leader, drains every
-/// request queued so far (its own included), and runs their union as a
-/// single ParallelFor round; callers that arrive while a batch is running
-/// queue up for the next leader. Followers block until their slot is
-/// filled.
+/// a resident compressed artifact (the Fig. 10 interaction, repeated), and
+/// the server's request workers already run those requests side by side.
+/// So each call resolves its backend through the evaluation-backend
+/// registry (core/evaluation_backend.h) with its own width and compiled
+/// snapshot, and runs ONE EvaluateBatch over the whole set on the caller's
+/// thread. Routing by snapshot means auto-routed calls reach the jit only
+/// once that snapshot has served its break-even number of scenarios on the
+/// interpreted kernels.
 ///
-/// Within a round, requests are grouped by (compiled form, requested
-/// backend) and each group is routed through the evaluation-backend
-/// registry (core/evaluation_backend.h) as ONE batch: concurrent analysts
-/// probing the same artifact become structure-of-arrays lanes for the
-/// simd_batch backend once the group reaches its preferred width. Routing
-/// passes the group's compiled snapshot, so auto-routed groups reach the
-/// jit only once their snapshot has served its break-even number of
-/// scenarios on the interpreted kernels. Each
-/// group's polynomial range is chunked across the pool with every chunk
-/// carrying the whole scenario group, so lanes stay full at any pool
-/// width.
-///
-/// The caller thread resolves the compiled form (cached on the set — for
-/// server artifacts it is warmed at load/insert time, so this never
-/// compiles on the request path) and materializes its valuation into a
-/// dense slot array before queueing, so pool workers run pure flat-array
-/// walks. Results are bitwise identical to naive `Valuation::Evaluate` per
-/// polynomial, whichever backend serves the group.
+/// Only a call whose work, scenarios × monomials, exceeds the split
+/// threshold is split: into pool-width polynomial ranges holding about
+/// equal numbers of monomials, each carrying every scenario of the call so
+/// the backend keeps full lanes, run across the pool. The caller
+/// materializes its valuation into a dense slot array first, so pool
+/// workers run pure flat-array walks. Results are bitwise identical to
+/// naive `Valuation::Evaluate` per polynomial, whichever backend runs and
+/// however the set is split.
 class EvaluateBatcher {
  public:
+  /// Scenarios × monomials above which a call is split across the pool.
+  /// In bench_parallel_scaling's direct-against-split table (4-vCPU VM,
+  /// seven runs) a 2- or 4-way split loses at 20,952 (the running example
+  /// at width 1), where its hand-offs cost more than they save, goes
+  /// either way at 45,520 (a Q10 view at width 16), and wins at 4 threads
+  /// in every run from 182,080 (the same view at width 64) up.
+  static constexpr uint64_t kSplitWork = 65536;
+
   /// `registry` selects evaluation backends (Default() when null); tests
   /// inject counting/failing registries through it.
   explicit EvaluateBatcher(ThreadPool& pool,
@@ -63,81 +58,56 @@ class EvaluateBatcher {
   EvaluateBatcher(const EvaluateBatcher&) = delete;
   EvaluateBatcher& operator=(const EvaluateBatcher&) = delete;
 
-  /// Evaluates every polynomial of `polys` under `val`; blocks until done.
-  /// `backend` names an evaluation backend ("" = registry auto policy for
-  /// the group this request lands in); unknown names fail with the
-  /// registry's name-listing error. Thread-safe; concurrent callers are
-  /// coalesced. The shared_ptr keeps the polynomial set alive across the
-  /// batch even if the artifact store evicts it mid-request.
+  /// Evaluates every polynomial of `polys` under `val`. `backend` names an
+  /// evaluation backend ("" = the registry's auto policy for a width-1
+  /// batch on this snapshot); unknown names fail with the registry's
+  /// name-listing error. `*ran`, when given, receives the name of the
+  /// backend that ran. Thread-safe.
   StatusOr<std::vector<double>> Evaluate(
       std::shared_ptr<const PolynomialSet> polys, Valuation val,
-      const std::string& backend = "");
+      const std::string& backend = "", std::string* ran = nullptr);
 
   /// Evaluates every polynomial of `polys` under each of `scenarios` — the
   /// scenario-program fan-out entry point (scenario/program.h expands
   /// chunks of DenseValuations already stamped with `compiled`'s
-  /// fingerprint). The scenarios enter the queue as individual pending
-  /// items, so they form one full-width (compiled, backend) lane group and
-  /// coalesce with any concurrent Evaluate() traffic against the same
-  /// artifact. Returns one value vector per scenario, in order; counts as
+  /// fingerprint). The scenarios form one batch of their full width; only
+  /// `compiled` is read, `polys` being the set it belongs to.
+  /// Returns one value vector per scenario, in order; counts as
   /// scenarios.size() requests in stats(). Fails fast with
   /// kInvalidArgument if any scenario carries a foreign fingerprint.
   StatusOr<std::vector<std::vector<double>>> EvaluateDense(
       std::shared_ptr<const PolynomialSet> polys,
       std::shared_ptr<const CompiledPolynomialSet> compiled,
-      std::vector<DenseValuation> scenarios, const std::string& backend = "");
+      std::vector<DenseValuation> scenarios, const std::string& backend = "",
+      std::string* ran = nullptr);
 
   struct Stats {
-    uint64_t requests = 0;       ///< Evaluate() calls served.
-    uint64_t batches = 0;        ///< Leader rounds run.
-    uint64_t max_batch = 0;      ///< Largest number of requests in one round.
-    uint64_t groups = 0;         ///< (compiled form, backend) groups formed.
-    uint64_t backend_calls = 0;  ///< EvaluateBatch invocations dispatched.
+    uint64_t requests = 0;       ///< Scenarios evaluated.
+    uint64_t calls = 0;          ///< Evaluate and EvaluateDense calls.
+    uint64_t backend_calls = 0;  ///< EvaluateBatch invocations.
   };
   Stats stats() const;
 
  private:
-  /// Concurrency audit (TSan'd by tests/server_concurrency_test.cc and
-  /// tests/evaluate_batcher_test.cc): a Pending crosses threads only
-  /// through `mutex_` and the pool's own synchronization. The caller fills
-  /// `compiled`/`dense`/`backend` before publishing the item into `queue_`
-  /// under the lock; the leader takes the queue under the lock and sizes
-  /// `out` before any Submit (the pool's queue mutex orders those writes
-  /// before worker reads); workers only read `compiled`/`dense` and write
-  /// disjoint `out` ranges; the leader's post-round lock re-acquire orders
-  /// those writes (and any `status` the leader recorded) before `done`
-  /// flips; and the owner only reads `out`/`status` after observing `done`
-  /// under the lock. `stats_` is only ever touched under `mutex_`.
-  struct Pending {
-    std::shared_ptr<const PolynomialSet> polys;
-    std::shared_ptr<const CompiledPolynomialSet> compiled;
-    DenseValuation dense;
-    std::string backend;  ///< Requested backend name ("" = auto).
-    std::vector<double> out;
-    Status status;  ///< Set by the leader on resolution/evaluation failure.
-    bool done = false;
-  };
-
-  /// Leader-side: groups `batch`, resolves backends, runs one ParallelFor
-  /// over all chunks, records per-item status. Returns counters for the
-  /// leader to fold into stats_ under the lock.
-  void RunBatch(const std::vector<std::shared_ptr<Pending>>& batch,
-                uint64_t* groups, uint64_t* backend_calls);
-
-  /// Claims leadership, drains the queue, and runs it as one batch.
-  /// Requires `lock` held on mutex_ and leader_active_ == false; returns
-  /// with the lock re-held, all drained items marked done, and waiters
-  /// notified.
-  void LeadOneBatch(std::unique_lock<std::mutex>& lock);
+  /// Resolves the backend for `count` scenarios on `compiled` and runs it
+  /// over every polynomial, split across the pool above kSplitWork.
+  Status Run(const CompiledPolynomialSet& compiled,
+             const std::string& backend, const DenseValuation* const* in,
+             double* const* outs, size_t count, std::string* ran);
 
   ThreadPool& pool_;
   const EvaluationBackendRegistry* registry_;
-  mutable std::mutex mutex_;
-  std::condition_variable done_cv_;
-  std::vector<std::shared_ptr<Pending>> queue_;
-  bool leader_active_ = false;
-  Stats stats_;
+  std::atomic<uint64_t> requests_{0};
+  std::atomic<uint64_t> calls_{0};
+  std::atomic<uint64_t> backend_calls_{0};
 };
+
+/// Boundaries of at most `parts` contiguous polynomial ranges of `compiled`
+/// holding about equal numbers of monomials: 0, the first polynomial at or
+/// past each equal share of the monomials, and poly_count(). No range is
+/// empty, so there are fewer ranges when polynomials are few or large.
+std::vector<size_t> MonomialBalancedRanges(
+    const CompiledPolynomialSet& compiled, size_t parts);
 
 }  // namespace provabs
 

@@ -62,8 +62,8 @@ std::vector<uint64_t> Superseded(const Artifact& artifact) {
 }
 
 /// An explicit backend name is validated up front so a typo fails with the
-/// registry's name-listing error before any work is queued; "" keeps the
-/// registry's auto policy, which picks per coalesced batch.
+/// registry's name-listing error before any work is done; "" keeps the
+/// registry's auto policy, which picks per evaluation call.
 Status CheckBackend(const std::string& name) {
   if (name.empty()) return Status::OK();
   return EvaluationBackendRegistry::Default().Resolve(name).status();
@@ -109,11 +109,11 @@ void ProvenanceService::AttachStats(Response& resp) {
       delta_patched_.load(std::memory_order_relaxed);
   resp.stats.delta_fallback_full =
       delta_fallback_full_.load(std::memory_order_relaxed);
-  EvaluateBatcher::Stats batch_stats = batcher_.stats();
-  resp.stats.eval_batches = batch_stats.batches;
-  resp.stats.eval_requests = batch_stats.requests;
-  resp.stats.eval_groups = batch_stats.groups;
-  resp.stats.eval_backend_calls = batch_stats.backend_calls;
+  EvaluateBatcher::Stats eval_stats = batcher_.stats();
+  resp.stats.eval_batches = eval_stats.calls;
+  resp.stats.eval_requests = eval_stats.requests;
+  resp.stats.eval_groups = eval_stats.calls;
+  resp.stats.eval_backend_calls = eval_stats.backend_calls;
   {
     std::lock_guard<std::mutex> lock(transport_mutex_);
     if (transport_stats_) transport_stats_(resp.stats);
@@ -398,8 +398,7 @@ Response ProvenanceService::Evaluate(const EvaluateRequest& req) {
     PROVABS_ASSIGN_OR_RETURN(
         resp.values,
         batcher_.Evaluate(std::move(target), std::move(val),
-                          req.eval_backend));
-    resp.eval_backend = req.eval_backend;
+                          req.eval_backend, &resp.eval_backend));
     return Status::OK();
   });
 }
@@ -506,7 +505,7 @@ Response ProvenanceService::EvaluateScenarioProgram(
       PROVABS_ASSIGN_OR_RETURN(
           std::vector<std::vector<double>> values,
           batcher_.EvaluateDense(target, compiled, std::move(chunk),
-                                 req.eval_backend));
+                                 req.eval_backend, &resp.eval_backend));
       if (!shaped) {
         for (const std::vector<double>& v : values) {
           resp.values.insert(resp.values.end(), v.begin(), v.end());
@@ -534,7 +533,6 @@ Response ProvenanceService::EvaluateScenarioProgram(
                            pick.values.end());
       }
     }
-    resp.eval_backend = req.eval_backend;
     return Status::OK();
   });
 }

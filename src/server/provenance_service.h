@@ -19,7 +19,9 @@ namespace provabs {
 struct ServiceOptions {
   /// Byte budget of the artifact + result cache.
   size_t cache_bytes = size_t{256} << 20;  // 256 MiB
-  /// Worker threads for batched evaluation; 0 = hardware concurrency.
+  /// Pool threads an evaluation whose scenarios × monomials exceed
+  /// EvaluateBatcher::kSplitWork is split across; smaller evaluations run
+  /// on the request's own thread. 0 = hardware concurrency.
   size_t eval_threads = 0;
   /// Cache shards (independent mutex + LRU partitions); 0 = store default.
   size_t cache_shards = 0;
@@ -28,8 +30,8 @@ struct ServiceOptions {
   /// any expansion, so an oversized program is rejected without
   /// materializing a single valuation.
   uint64_t max_scenarios_per_request = uint64_t{1} << 20;
-  /// Scenarios expanded and fed to the batcher per chunk; bounds the
-  /// transient dense-valuation memory of huge families.
+  /// Scenarios expanded and evaluated per chunk; bounds the transient
+  /// dense-valuation memory of huge families.
   uint64_t scenario_chunk = 1024;
   /// Upper bound on an encoded response payload. A request whose response
   /// would exceed it (a `values`-shaped scenario sweep over a large
@@ -109,7 +111,7 @@ class ProvenanceService {
   /// Acknowledges a shutdown request; HandleFrame raises `*shutdown` and
   /// the transport stops.
   Response Shutdown(const ShutdownRequest& req);
-  /// Fills the stats section of `resp` from store + batcher counters.
+  /// Fills the stats section of `resp` from store + evaluator counters.
   void AttachStats(Response& resp);
   /// Every handler's single exit: `body(resp)` fills the verb's fields and
   /// returns the Status carried in code/message, then the stats block is
@@ -136,7 +138,7 @@ class ProvenanceService {
   /// The polynomials an evaluate or scenario request runs on: the
   /// artifact's own, or with `req.compressed` its compression through
   /// CompressInternal. The pointer aliases its owner (artifact or cached
-  /// result), keeping it alive for the batched evaluation.
+  /// result), keeping it alive for the evaluation.
   template <typename Request>
   StatusOr<std::shared_ptr<const PolynomialSet>> ResolveTarget(
       const std::shared_ptr<const Artifact>& artifact, const Request& req,

@@ -244,7 +244,10 @@ struct ServerStats {
   uint64_t result_hits = 0;
   uint64_t result_misses = 0;
   uint64_t evictions = 0;
+  /// Evaluation calls (one per Evaluate, one per scenario chunk), the same
+  /// count as eval_groups: each call is one batch (cumulative).
   uint64_t eval_batches = 0;
+  /// Scenarios evaluated: one per Evaluate, one per expanded scenario.
   uint64_t eval_requests = 0;
   /// Compression requests answered by waiting on another request's
   /// in-flight DP run (single-flight dedup; cumulative).
@@ -252,11 +255,10 @@ struct ServerStats {
   /// Requests blocked on an in-flight DP right now (a gauge, sampled when
   /// the response was built).
   uint64_t inflight_waiters = 0;
-  /// (compiled form, backend) lane groups the EvaluateBatcher formed, and
-  /// EvaluateBatch calls it dispatched (cumulative). batches/requests say
-  /// how well coalescing works; these say how full the lanes were:
-  /// requests/groups is the average lane width, backend_calls/groups the
-  /// pool chunking per group.
+  /// Evaluation calls (equal to eval_batches), and the EvaluateBatch calls
+  /// they ran (cumulative): requests/groups is the average batch width,
+  /// backend_calls/groups the pool split per call (1 for a call that ran
+  /// on the request's own thread).
   uint64_t eval_groups = 0;
   uint64_t eval_backend_calls = 0;
   /// Compiled scenario programs resident in the store, and cumulative

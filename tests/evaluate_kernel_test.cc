@@ -1,16 +1,17 @@
 // Differential suite for the compiled evaluation kernel
 // (core/compiled_polynomial_set.h): naive per-polynomial Evaluate is the
-// reference defining the canonical summation order; the compiled kernel,
-// the parallel path, and the batched serving path must reproduce it
-// BITWISE — floating-point add/mul are not associative, so exact equality
-// is only possible if every path performs the identical operation
-// sequence. Coverage: exponents > 1, unassigned variables (default 1.0),
-// variables assigned but absent from the set, empty polynomials, empty
-// sets, and post-abstraction sets (tree cuts and interned prox groups).
+// reference defining the canonical summation order; the compiled kernel
+// and the serving evaluator, for one scenario and for a family, must
+// reproduce it BITWISE — floating-point add/mul are not associative, so
+// exact equality is only possible if every path performs the identical
+// operation sequence. Coverage: exponents > 1, unassigned variables
+// (default 1.0), variables assigned but absent from the set, empty
+// polynomials, empty sets, and post-abstraction sets (tree cuts and
+// interned prox groups).
 //
-// The parallel/batched arms run under TSan in CI (evaluate_kernel_test is
-// in the thread-sanitizer job's suite list) to certify the lazy
-// Compiled() cache and the shared DenseValuation reads.
+// The evaluator arms run under TSan in CI (evaluate_kernel_test is in the
+// thread-sanitizer job's suite list) to certify the lazy Compiled() cache
+// and the shared DenseValuation reads.
 
 #include "core/compiled_polynomial_set.h"
 
@@ -28,7 +29,6 @@
 #include "core/polynomial.h"
 #include "core/polynomial_set.h"
 #include "core/valuation.h"
-#include "parallel/parallel_compress.h"
 #include "parallel/thread_pool.h"
 #include "server/evaluate_batcher.h"
 #include "workload/tree_gen.h"
@@ -83,14 +83,19 @@ void RunAllPathsDifferential(const Valuation& val, const PolynomialSet& polys,
         << "EvaluateOne " << i;
   }
 
-  ExpectBitwiseEqual(expected, ParallelEvaluateAll(val, polys, pool),
-                     "ParallelEvaluateAll");
-
-  EvaluateBatcher batcher(pool);
   auto shared = std::make_shared<PolynomialSet>(polys);
+  EvaluateBatcher batcher(pool);
   StatusOr<std::vector<double>> batched = batcher.Evaluate(shared, val);
   ASSERT_TRUE(batched.ok()) << batched.status().ToString();
   ExpectBitwiseEqual(expected, *batched, "EvaluateBatcher");
+
+  // A 16-scenario family of the same valuation: one batch, SIMD lanes.
+  auto family = batcher.EvaluateDense(
+      shared, compiled, std::vector<DenseValuation>(16, dense));
+  ASSERT_TRUE(family.ok()) << family.status().ToString();
+  for (const std::vector<double>& values : *family) {
+    ExpectBitwiseEqual(expected, values, "EvaluateBatcher family");
+  }
 }
 
 // ------------------------------------------------- structure units ------

@@ -4,12 +4,17 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <future>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 
 #include "algo/brute_force.h"
 #include "common/random.h"
 #include "parallel/thread_pool.h"
+#include "server/evaluate_batcher.h"
 #include "workload/telephony.h"
 #include "workload/tree_gen.h"
 
@@ -83,7 +88,8 @@ TEST(ThreadPoolTest, DestructorDrainsQueuedWork) {
 
 TEST(ThreadPoolTest, ReusableAcrossManyRounds) {
   // The serving layer keeps one pool alive for the process lifetime and
-  // pushes work through it round after round (see server/evaluate_batcher).
+  // splits large evaluations across it call after call (see
+  // server/evaluate_batcher).
   ThreadPool pool(4);
   std::atomic<int> total{0};
   for (int round = 0; round < 100; ++round) {
@@ -93,10 +99,10 @@ TEST(ThreadPoolTest, ReusableAcrossManyRounds) {
 }
 
 TEST(ThreadPoolTest, ConcurrentCallersFromManyThreads) {
-  // The concurrent serving path drives one pool from many connection
-  // threads at once: interleaved Submit/Wait and whole ParallelFor calls
-  // must never drop or double-run a unit (Wait() waits for *all* in-flight
-  // tasks, so a caller may over-wait — that is allowed, losing work is
+  // The concurrent serving path drives one pool from many request threads
+  // at once: interleaved Submit/Wait and whole ParallelFor calls must never
+  // drop or double-run a unit (Wait() waits for *all* in-flight tasks, so a
+  // Submit/Wait caller may over-wait — that is allowed, losing work is
   // not). Run under TSan in CI.
   ThreadPool pool(4);
   constexpr int kCallers = 8;
@@ -121,6 +127,48 @@ TEST(ThreadPoolTest, ConcurrentCallersFromManyThreads) {
   for (int c = 0; c < kCallers; ++c) {
     EXPECT_EQ(counts[c].load(), kRounds * 13) << "caller " << c;
   }
+}
+
+TEST(ThreadPoolTest, ConcurrentParallelForCallersDoNotWaitOnEachOther) {
+  // Request threads share one pool, so a ParallelFor must wait for its own
+  // chunks only. Caller A's one chunk holds a worker of a two-thread pool
+  // on a latch; caller B's one-chunk ParallelFor runs on the other worker
+  // and must return while A's chunk is still held.
+  ThreadPool pool(2);
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool a_running = false;
+  bool release = false;
+  std::thread a([&] {
+    pool.ParallelFor(1, [&](size_t) {
+      std::unique_lock<std::mutex> lock(mutex);
+      a_running = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+    });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return a_running; });
+  }
+  std::promise<void> b_returned;
+  std::future<void> b_done = b_returned.get_future();
+  std::atomic<int> b_ran{0};
+  std::thread b([&] {
+    pool.ParallelFor(1, [&](size_t) { b_ran.fetch_add(1); });
+    b_returned.set_value();
+  });
+  const bool returned_first = b_done.wait_for(std::chrono::seconds(5)) ==
+                              std::future_status::ready;
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    release = true;
+  }
+  cv.notify_all();
+  a.join();
+  b.join();
+  EXPECT_TRUE(returned_first) << "caller B waited for caller A's chunk";
+  EXPECT_EQ(b_ran.load(), 1);
 }
 
 // -------------------------------------------------- parallel primitives --
@@ -216,13 +264,25 @@ TEST_F(ParallelCompressTest, EvaluateAllMatchesSerial) {
   Valuation val;
   for (VariableId v : leaves_) val.Set(v, 0.5 + (v % 7) * 0.1);
 
+  // A family just past the serving evaluator's split threshold runs
+  // across the pool in monomial-balanced polynomial ranges.
   ThreadPool pool(4);
-  std::vector<double> parallel = ParallelEvaluateAll(val, many, pool);
+  EvaluateBatcher evaluator(pool);
   std::vector<double> serial = val.EvaluateAll(many);
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_DOUBLE_EQ(parallel[i], serial[i]);
+  auto shared = std::make_shared<PolynomialSet>(std::move(many));
+  std::shared_ptr<const CompiledPolynomialSet> compiled = shared->Compiled();
+  const std::vector<DenseValuation> family(
+      EvaluateBatcher::kSplitWork / compiled->monomial_count() + 1,
+      compiled->MaterializeValuation(val));
+  auto parallel = evaluator.EvaluateDense(shared, compiled, family);
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  for (const std::vector<double>& values : *parallel) {
+    ASSERT_EQ(values.size(), serial.size());
+    for (size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_DOUBLE_EQ(values[i], serial[i]);
+    }
   }
+  EXPECT_EQ(evaluator.stats().backend_calls, pool.thread_count());
 }
 
 // Thread-count sweep: identical results at every pool size.

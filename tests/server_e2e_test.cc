@@ -698,9 +698,9 @@ TEST_F(ServerBinarySmokeTest, FullRemoteSessionWithCacheHit) {
 
   EXPECT_EQ(RunCli("remote-info " + remote + " --name tel", &out), 0) << out;
   EXPECT_NE(out.find("hits"), std::string::npos) << out;
-  // The batching/program-cache counters surface in remote-info.
+  // The evaluation/program-cache counters surface in remote-info.
   EXPECT_NE(out.find("programs:"), std::string::npos) << out;
-  EXPECT_NE(out.find("lane groups"), std::string::npos) << out;
+  EXPECT_NE(out.find("backend calls"), std::string::npos) << out;
   // remote-info surfaces the server's algorithm registry (request 22).
   EXPECT_NE(out.find("algorithms:"), std::string::npos) << out;
   EXPECT_NE(out.find("prox"), std::string::npos) << out;

@@ -247,14 +247,12 @@ TEST_F(BatcherTest, ConcurrentCallersAllGetTheirOwnAnswers) {
   }
   EvaluateBatcher::Stats stats = batcher.stats();
   EXPECT_EQ(stats.requests, static_cast<uint64_t>(kCallers));
-  EXPECT_GE(stats.batches, 1u);
-  EXPECT_LE(stats.batches, static_cast<uint64_t>(kCallers));
-  EXPECT_GE(stats.max_batch, 1u);
+  EXPECT_EQ(stats.calls, static_cast<uint64_t>(kCallers));
 }
 
 TEST_F(BatcherTest, ReusesPoolAcrossManyRounds) {
-  // The satellite ThreadPool concern: one pool must survive many batching
-  // rounds (the server's steady state) without wedging or leaking work.
+  // One pool must survive many evaluation calls (the server's steady
+  // state) without wedging or leaking work.
   ThreadPool pool(2);
   EvaluateBatcher batcher(pool);
   auto shared = std::make_shared<PolynomialSet>(polys_);
@@ -266,8 +264,6 @@ TEST_F(BatcherTest, ReusesPoolAcrossManyRounds) {
     ASSERT_EQ(got->size(), polys_.count());
   }
   EXPECT_EQ(batcher.stats().requests, 50u);
-  // Sequential callers never coalesce, so each round is its own batch.
-  EXPECT_EQ(batcher.stats().batches, 50u);
 }
 
 // -------------------------------------------------- ProvenanceService --
@@ -567,7 +563,9 @@ TEST_F(ServiceTest, EvaluateRoutesThroughNamedBackend) {
   req.assignments = {{"m1", 0.5}, {"b1", 0.0}};
   Response reference = service_->Evaluate(req);
   ASSERT_TRUE(reference.ok()) << reference.message;
-  EXPECT_TRUE(reference.eval_backend.empty());  // auto policy echoed as ""
+  // Auto routing echoes the backend that ran: the compiled kernel on a
+  // fresh snapshot, below the jit break-even and one lane group.
+  EXPECT_EQ(reference.eval_backend, "compiled");
 
   // Every registered backend returns bitwise-identical values and echoes
   // its name.
@@ -739,6 +737,45 @@ TEST_F(ScenarioServiceTest, ThousandScenarioRequestMatchesIndividualEvaluates) {
     std::memcpy(&have, &chunked_resp.values[i], sizeof(have));
     ASSERT_EQ(want, have) << "chunked value " << i;
   }
+}
+
+// A scenario request echoes the backend that ran, not "" for auto: a
+// 16-scenario family on a fresh snapshot fills simd_batch lanes, and a
+// family run in 7-scenario chunks echoes its last chunk's backend, which
+// is the jit once the snapshot has served its break-even (where the jit is
+// available). An explicit name echoes itself.
+TEST_F(ScenarioServiceTest, ScenarioRequestsEchoTheBackendThatRan) {
+  EvaluateScenarioProgramRequest req;
+  req.artifact = "ex";
+  req.program = "LET a = SWEEP(0.5 .. 2 STEP 0.1); SET PREFIX(m) = a;";
+  Response wide = service_->EvaluateScenarioProgram(req);
+  ASSERT_TRUE(wide.ok()) << wide.message;
+  ASSERT_EQ(wide.scenario_count, 16u);
+  EXPECT_EQ(wide.eval_backend, "simd_batch");
+
+  req.eval_backend = "naive";
+  Response named = service_->EvaluateScenarioProgram(req);
+  ASSERT_TRUE(named.ok()) << named.message;
+  EXPECT_EQ(named.eval_backend, "naive");
+
+  ServiceOptions tiny_chunks;
+  tiny_chunks.scenario_chunk = 7;
+  ProvenanceService chunked(tiny_chunks);
+  LoadRequest load;
+  load.artifact = "ex";
+  load.polys_bytes = polys_bytes_;
+  load.forests = {{"plans", plans_bytes_}};
+  ASSERT_TRUE(chunked.Load(load).ok());
+  req.eval_backend.clear();
+  req.program =
+      "LET a = SWEEP(0.5 .. 1.4 STEP 0.1); LET b = SWEEP(0.5 .. 1.4 STEP 0.1);"
+      "LET c = SWEEP(0.5 .. 1.4 STEP 0.1);"
+      "SET PREFIX(m) = a; SET PREFIX(b) = b; SET * = c;";
+  Response chunked_resp = chunked.EvaluateScenarioProgram(req);
+  ASSERT_TRUE(chunked_resp.ok()) << chunked_resp.message;
+  ASSERT_EQ(chunked_resp.scenario_count, 1000u);  // last chunk: 6 scenarios
+  const bool jit = EvaluationBackendRegistry::Default().Find("jit")->Available();
+  EXPECT_EQ(chunked_resp.eval_backend, jit ? "jit" : "compiled");
 }
 
 TEST_F(ScenarioServiceTest, ShapedResponsesPickByObjective) {

@@ -15,6 +15,9 @@
 #   - bench_evaluate_kernel: simd_batch (BATCHSTAT lines) and native jit
 #     code (JITSTAT lines with mode=native; a jit fallback is the compiled
 #     kernel itself) >= 1.0x the single-scenario compiled loop.
+# bench_evaluate_kernel and bench_parallel_scaling also exit nonzero when an
+# evaluation path (the serving evaluator, or a call split across the pool)
+# differs bitwise from the path it is compared against.
 # Other timings printed here are meaningless.
 #
 # Usage: tools/bench_smoke.sh [BUILD_DIR]   (default: build)

@@ -865,10 +865,9 @@ void PrintServerStats(const ServerStats& stats) {
   std::printf("single-flight: %llu dedup hits, %llu waiters in flight\n",
               static_cast<unsigned long long>(stats.dedup_hits),
               static_cast<unsigned long long>(stats.inflight_waiters));
-  std::printf("batching: %llu batches (%llu lane groups, %llu backend "
-              "calls) for %llu evaluate requests\n",
+  std::printf("evaluation: %llu calls (%llu backend calls) for %llu "
+              "scenarios\n",
               static_cast<unsigned long long>(stats.eval_batches),
-              static_cast<unsigned long long>(stats.eval_groups),
               static_cast<unsigned long long>(stats.eval_backend_calls),
               static_cast<unsigned long long>(stats.eval_requests));
   std::printf("programs: %llu cached, %llu hits, %llu misses\n",

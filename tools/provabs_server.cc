@@ -51,8 +51,10 @@ int Usage(int code) {
                "  --host H         numeric IPv4 bind address (default "
                "127.0.0.1)\n"
                "  --port P         TCP port; 0 = ephemeral (default 0)\n"
-               "  --threads N      evaluation worker threads (default: all "
-               "cores)\n"
+               "  --threads N      pool threads a large evaluation is "
+               "split across;\n"
+               "                   small ones run on the request's worker "
+               "(default: all cores)\n"
                "  --cache-mb MB    artifact/result cache budget (default "
                "256)\n"
                "  --port-file PATH write the bound port to PATH once "
