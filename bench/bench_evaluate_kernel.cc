@@ -43,10 +43,23 @@
 /// mode=native lines only, because a fallback line measures the compiled
 /// kernel against itself plus dispatch overhead, so NOJIT-forced or
 /// exec-restricted hosts skip it cleanly.
+///
+/// A fourth, routing arm times every registered backend at width 1 (one
+/// call per scenario) and at the batched arm's width (one call for every
+/// scenario), on the artifact's snapshot past the jit break-even, against
+/// the backend auto-routing picks for that width on that snapshot:
+///
+///   ROUTESTAT workload=<w> batch=<n> auto=<name> best=<name>
+///             best_over_auto=<r>
+///
+/// where best_over_auto is the fastest backend's time over auto's. It must
+/// not fall below kRoutingFloor: auto-routing may be at most 1.5x slower
+/// than the fastest backend at either width.
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -69,6 +82,9 @@ constexpr int kScenarios = 40;
 /// compiled loop. Five smoke-scale runs on a 4-vCPU Xeon VM measured
 /// 3.84-6.91x (simd_batch) and 2.55-4.95x (jit).
 constexpr double kBackendFloor = 1.0;
+/// Same-run floor of ROUTESTAT's best_over_auto. Five smoke-scale and three
+/// full-scale runs on the same VM measured 1.00 on every line.
+constexpr double kRoutingFloor = 0.67;
 
 bool BitwiseEqual(const std::vector<double>& a, const std::vector<double>& b) {
   if (a.size() != b.size()) return false;
@@ -221,6 +237,70 @@ bool RunJitArm(const Workload& w, const CompiledPolynomialSet& compiled,
   return all_equal;
 }
 
+/// The routing arm: at width 1 and at the batched arm's width, every
+/// registered backend against the one auto-routing picks on `compiled`
+/// once that snapshot is past the jit break-even.
+bool RunRoutingArm(const Workload& w, const CompiledPolynomialSet& compiled,
+                   const std::vector<Valuation>& scenarios,
+                   bool* floors_hold) {
+  const size_t n = scenarios.size();
+  const size_t poly_count = compiled.poly_count();
+  std::vector<DenseValuation> dense;
+  dense.reserve(n);
+  for (const Valuation& val : scenarios) {
+    dense.push_back(compiled.MaterializeValuation(val));
+  }
+  std::vector<const DenseValuation*> dense_ptrs(n);
+  std::vector<std::vector<double>> out(n, std::vector<double>(poly_count));
+  std::vector<double*> out_ptrs(n);
+  for (size_t s = 0; s < n; ++s) {
+    dense_ptrs[s] = &dense[s];
+    out_ptrs[s] = out[s].data();
+  }
+  compiled.CountInterpretedScenarios(kJitBreakEvenScenarios);
+
+  const EvaluationBackendRegistry& registry =
+      EvaluationBackendRegistry::Default();
+  for (size_t width : {size_t{1}, n}) {
+    std::map<std::string, double> us;
+    for (const std::string& name : registry.Names()) {
+      const EvaluationBackend* backend = registry.Find(name);
+      bool ok = true;
+      // Width 1 runs one call per scenario; the first sweep (which emits
+      // jit code) is MedianCallUs' untimed probe.
+      us[name] = MedianCallUs([&] {
+        for (size_t s = 0; s < n; s += width) {
+          ok &= backend->EvaluateBatch(compiled, 0, poly_count,
+                                       dense_ptrs.data() + s,
+                                       out_ptrs.data() + s, width)
+                    .ok();
+        }
+      });
+      if (!ok) {
+        std::printf("ROUTE ERROR %s/%s\n", w.name.c_str(), name.c_str());
+        return false;
+      }
+    }
+    StatusOr<const EvaluationBackend*> chosen =
+        registry.ResolveForBatch("", width, &compiled);
+    if (!chosen.ok()) return false;
+    const std::string& auto_name = (*chosen)->info().name;
+    auto best = us.begin();
+    for (auto it = us.begin(); it != us.end(); ++it) {
+      if (it->second < best->second) best = it;
+    }
+    const double ratio = us[auto_name] > 0 ? best->second / us[auto_name] : 0.0;
+    std::printf(
+        "ROUTESTAT workload=%s batch=%zu auto=%s best=%s "
+        "best_over_auto=%.2f\n",
+        w.name.c_str(), width, auto_name.c_str(), best->first.c_str(), ratio);
+    *floors_hold &= RatioFloorHolds(
+        ("routing " + w.name + " batch " + std::to_string(width)).c_str(),
+        ratio, kRoutingFloor);
+  }
+  return true;
+}
+
 bool Run() {
   PrintHeader("Evaluate kernel: naive vs compiled vs compiled+parallel");
   const size_t threads = std::thread::hardware_concurrency();
@@ -289,6 +369,9 @@ bool Run() {
     }
     if (!RunBatchedArm(w, *compiled, scenarios, naive_results, t_compiled,
                        &floors_hold)) {
+      all_equal = false;
+    }
+    if (!RunRoutingArm(w, *compiled, scenarios, &floors_hold)) {
       all_equal = false;
     }
   }

@@ -19,7 +19,6 @@
 /// off this table). Every split and evaluator answer is checked bitwise
 /// against the direct one, and the driver exits 1 on a mismatch.
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -68,24 +67,6 @@ void Run(const std::vector<std::string>& algos) {
                   t.ElapsedSeconds());
     }
   }
-}
-
-/// Median over five samples of the mean time of one `call`, in µs; each
-/// sample repeats the call for about 10 ms.
-template <typename Call>
-double MedianCallUs(Call call) {
-  Timer once;
-  call();
-  const double first_s = std::max(once.ElapsedSeconds(), 1e-7);
-  const int reps = static_cast<int>(std::clamp(0.01 / first_s, 1.0, 1e5));
-  std::vector<double> samples;
-  for (int k = 0; k < 5; ++k) {
-    Timer t;
-    for (int r = 0; r < reps; ++r) call();
-    samples.push_back(t.ElapsedSeconds() * 1e6 / reps);
-  }
-  std::sort(samples.begin(), samples.end());
-  return samples[2];
 }
 
 /// Returns false when a split or evaluator answer differs from the direct

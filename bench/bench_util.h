@@ -1,6 +1,7 @@
 #ifndef PROVABS_BENCH_BENCH_UTIL_H_
 #define PROVABS_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -12,6 +13,7 @@
 #include "abstraction/loss.h"
 #include "algo/compressor.h"
 #include "common/random.h"
+#include "common/timer.h"
 #include "core/polynomial_set.h"
 #include "core/variable.h"
 #include "workload/telephony.h"
@@ -168,9 +170,27 @@ inline std::string CpuModel() {
 /// the verdict and returns false below the floor.
 inline bool RatioFloorHolds(const char* label, double ratio, double floor) {
   const bool holds = ratio >= floor;
-  std::fprintf(holds ? stdout : stderr, "%s: %s ratio %.2fx (floor %.1fx)\n",
+  std::fprintf(holds ? stdout : stderr, "%s: %s ratio %.2fx (floor %gx)\n",
                holds ? "floor ok" : "FAILED", label, ratio, floor);
   return holds;
+}
+
+/// Median over five samples of the mean time of one `call`, in µs; each
+/// sample repeats the call for about 10 ms.
+template <typename Call>
+double MedianCallUs(Call call) {
+  Timer once;
+  call();
+  const double first_s = std::max(once.ElapsedSeconds(), 1e-7);
+  const int reps = static_cast<int>(std::clamp(0.01 / first_s, 1.0, 1e5));
+  std::vector<double> samples;
+  for (int k = 0; k < 5; ++k) {
+    Timer t;
+    for (int r = 0; r < reps; ++r) call();
+    samples.push_back(t.ElapsedSeconds() * 1e6 / reps);
+  }
+  std::sort(samples.begin(), samples.end());
+  return samples[2];
 }
 
 /// Prints a separator + figure/table header.

@@ -191,11 +191,11 @@ class CompiledPolynomialSet {
   /// Rough resident size, for the serving layer's byte-budget accounting.
   size_t ApproxBytes() const;
 
-  /// Adds `n` to the scenarios this snapshot has served on backends
-  /// without a one-time per-snapshot cost. Auto-routing
+  /// Adds `n` to the scenarios this snapshot has served, in auto-routed
+  /// calls the jit would take, before the jit took them. Auto-routing
   /// (EvaluationBackendRegistry::ResolveForBatch) reads the count to emit
-  /// jit code only for snapshots that have shown enough traffic to repay
-  /// the emission. Relaxed: the count steers routing, never results.
+  /// jit code only for snapshots that have shown enough such traffic to
+  /// repay the emission. Relaxed: the count steers routing, never results.
   void CountInterpretedScenarios(uint64_t n) const {
     interpreted_scenarios_.value.fetch_add(n, std::memory_order_relaxed);
   }

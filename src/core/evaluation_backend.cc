@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <limits>
 #include <utility>
 
 #include "common/macros.h"
@@ -67,8 +66,7 @@ class NaiveBackend : public EvaluationBackend {
   const EvaluationBackendInfo& info() const override {
     static const EvaluationBackendInfo kInfo{
         "naive", "scalar reference interpreter, one scenario at a time",
-        /*vectorized=*/false, /*deterministic=*/true, /*preferred_batch=*/1,
-        /*tier=*/0};
+        /*vectorized=*/false, /*deterministic=*/true, /*preferred_batch=*/1};
     return kInfo;
   }
 
@@ -110,8 +108,7 @@ class CompiledBackend : public EvaluationBackend {
   const EvaluationBackendInfo& info() const override {
     static const EvaluationBackendInfo kInfo{
         "compiled", "single-scenario CSR kernel (compiled evaluation)",
-        /*vectorized=*/false, /*deterministic=*/true, /*preferred_batch=*/1,
-        /*tier=*/1};
+        /*vectorized=*/false, /*deterministic=*/true, /*preferred_batch=*/1};
     return kInfo;
   }
 
@@ -221,12 +218,17 @@ bool SimdBatchAvx2Active() {
 }
 
 const EvaluationBackendInfo& SimdBatchBackend::info() const {
+  // One lane group is the crossover. Through the serving evaluator on the
+  // four servebench views with AVX2 lanes, the jit wins at widths 1-2 on
+  // every view and at 3 on the Q10 view, and from width 4 simd_batch beats
+  // it on the three large views and ties it on the Q10 view (CHANGES.md
+  // has the table, AVX2 and scalar lanes).
   static const EvaluationBackendInfo kInfo{
       "simd_batch",
       "structure-of-arrays scenario lanes over the CSR arrays "
       "(AVX2 when available, scalar lanes otherwise)",
-      /*vectorized=*/true, /*deterministic=*/true, /*preferred_batch=*/8,
-      /*tier=*/2};
+      /*vectorized=*/true, /*deterministic=*/true,
+      /*preferred_batch=*/kLaneWidth};
   return kInfo;
 }
 
@@ -329,57 +331,33 @@ StatusOr<const EvaluationBackend*> EvaluationBackendRegistry::ResolveForBatch(
   if (by_name_.empty()) {
     return Status::InvalidArgument("no evaluation backends registered");
   }
-  const uint64_t served = snapshot != nullptr
-                              ? snapshot->interpreted_scenarios()
-                              : std::numeric_limits<uint64_t>::max();
-  // Highest available tier among backends that already pay off at this
-  // batch size: jit > simd_batch > compiled > naive with the built-ins.
-  // (The old policy considered only vectorized backends, which would
-  // leave the jit tier unreachable by auto-routing.) Ties break toward
-  // the larger preferred width, then the lexicographically smallest name,
-  // so routing never depends on map iteration order of future backends.
-  const EvaluationBackend* best = nullptr;
-  const std::string* best_name = nullptr;
-  for (const auto& [key, backend] : by_name_) {
-    const EvaluationBackendInfo& info = backend->info();
-    if (info.preferred_batch > batch_size ||
-        info.break_even_scenarios > served || !backend->Available()) {
-      continue;
-    }
-    if (best == nullptr) {
-      best = backend.get();
-      best_name = &key;
-      continue;
-    }
-    const EvaluationBackendInfo& incumbent = best->info();
-    if (info.tier != incumbent.tier) {
-      if (info.tier > incumbent.tier) {
-        best = backend.get();
-        best_name = &key;
-      }
-      continue;
-    }
-    if (info.preferred_batch != incumbent.preferred_batch) {
-      if (info.preferred_batch > incumbent.preferred_batch) {
-        best = backend.get();
-        best_name = &key;
-      }
-      continue;
-    }
-    if (key < *best_name) {
-      best = backend.get();
-      best_name = &key;
-    }
+  auto available = [this](const char* key) -> const EvaluationBackend* {
+    auto it = by_name_.find(key);
+    return it != by_name_.end() && it->second->Available() ? it->second.get()
+                                                           : nullptr;
+  };
+  const EvaluationBackend* simd = available("simd_batch");
+  const bool wide =
+      simd != nullptr && batch_size >= simd->info().preferred_batch;
+  // AVX2 lanes win wide calls on sets of kSimdBatchMinMonomials or more.
+  // Scalar lanes trail the jit by 1.3-1.4x at widths 4-16 on the Q10 view,
+  // so there, and on smaller sets, the jit serves and counts every width.
+  if (wide && SimdBatchAvx2Active() &&
+      (snapshot == nullptr ||
+       snapshot->monomial_count() >= kSimdBatchMinMonomials)) {
+    return simd;
   }
-  if (best == nullptr) {
-    auto it = by_name_.find("compiled");
-    best = it != by_name_.end() ? it->second.get()
-                                : by_name_.begin()->second.get();
+  const EvaluationBackend* jit = available("jit");
+  if (jit != nullptr && batch_size > 0 &&
+      (snapshot == nullptr || snapshot->interpreted_scenarios() >=
+                                  jit->info().break_even_scenarios)) {
+    return jit;
   }
-  if (snapshot != nullptr && best->info().break_even_scenarios == 0) {
-    snapshot->CountInterpretedScenarios(batch_size);
-  }
-  return best;
+  if (snapshot != nullptr) snapshot->CountInterpretedScenarios(batch_size);
+  if (wide) return simd;
+  auto it = by_name_.find("compiled");
+  return it != by_name_.end() ? it->second.get()
+                              : by_name_.begin()->second.get();
 }
 
 std::vector<std::string> EvaluationBackendRegistry::Names() const {

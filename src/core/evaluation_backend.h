@@ -37,6 +37,14 @@ class Valuation;
 /// bench_evaluate_kernel batched arm assert IEEE-754 bit equality, not
 /// tolerance, and the bench exits nonzero on any divergence.
 
+/// Monomials a compiled set needs before auto-routing sends its wide calls
+/// to simd_batch. On smaller sets the jit's straight-line code beats the
+/// lane interpreter's loop control at every width: by 1.2-1.8x at width 40
+/// on bench_evaluate_kernel's sets of 126-623 monomials, and still by
+/// 1.3-1.7x with the lane transpose left out, while from about 1,000
+/// monomials up simd_batch wins or ties (CHANGES.md has the table).
+inline constexpr uint64_t kSimdBatchMinMonomials = 1024;
+
 /// Capability record advertised by an evaluation backend, served over the
 /// wire by the ListBackends request so clients route without hardcoding
 /// backend names.
@@ -48,20 +56,15 @@ struct EvaluationBackendInfo {
   bool vectorized = false;
   /// Same inputs always yield the same bits (all built-ins).
   bool deterministic = false;
-  /// Batch width from which this backend beats the single-scenario kernel;
-  /// auto-routing only considers it for batches >= this width. 1 = no
-  /// batching requirement.
+  /// Batch width from which this backend is the fastest. For simd_batch
+  /// it is the width rule's crossover: with AVX2 lanes auto-routing sends
+  /// every call at least this wide to it. 1 = no batching requirement.
   uint32_t preferred_batch = 1;
-  /// Speed tier for auto-routing: among eligible (preferred_batch) and
-  /// available backends the HIGHEST tier wins. Built-ins: naive=0,
-  /// compiled=1, simd_batch=2, jit=3 — the jit > simd_batch > compiled
-  /// preference order ResolveForBatch documents.
-  uint32_t tier = 0;
-  /// Scenarios a compiled snapshot must have served on backends without a
-  /// one-time cost before auto-routing picks this one for it: the backend's
-  /// per-snapshot setup (jit emission) over its per-scenario saving. 0 =
-  /// no setup cost (naive, compiled, simd_batch). Not part of the wire
-  /// capability record.
+  /// Scenarios a compiled snapshot must have served in the auto-routed
+  /// calls this backend would take before auto-routing picks it: the
+  /// backend's per-snapshot setup (jit emission) over its per-scenario
+  /// saving. 0 = no setup cost (naive, compiled, simd_batch). Not part of
+  /// the wire capability record.
   uint64_t break_even_scenarios = 0;
 };
 
@@ -74,7 +77,7 @@ class EvaluationBackend {
 
   virtual const EvaluationBackendInfo& info() const = 0;
 
-  /// Whether this backend can currently deliver its advertised tier. The
+  /// Whether this backend can currently deliver its advertised speed. The
   /// auto policy skips unavailable backends; explicit selection by name
   /// still works (an unavailable backend must degrade internally, not
   /// fail). The jit backend reports false when executable memory is
@@ -146,25 +149,28 @@ class EvaluationBackendRegistry {
   /// Find() with a useful failure: the error lists every registered name.
   StatusOr<const EvaluationBackend*> Resolve(const std::string& name) const;
 
-  /// Auto-routing policy shared by every evaluation path: an explicit
-  /// `name` resolves strictly; an empty name picks the HIGHEST-tier
-  /// backend among those that are Available() and whose preferred_batch
-  /// <= `batch_size` — with the built-ins, jit > simd_batch > compiled
-  /// (and jit force-disabled or without executable memory degrades to
-  /// simd_batch for batches, compiled for single scenarios). Ties break
-  /// toward the larger preferred_batch, then lexicographically smallest
-  /// name, so routing is deterministic. Falls back to "compiled" when
-  /// nothing is eligible (and to any registered backend if "compiled" was
-  /// not registered — an empty registry is the only hard failure).
+  /// Auto-routing policy shared by every evaluation path. An explicit
+  /// `name` resolves strictly. An empty name routes by batch width:
+  ///   - a wide call, at least simd_batch's preferred_batch (one lane
+  ///     group), runs simd_batch when its lanes are AVX2
+  ///     (SimdBatchAvx2Active()) and the `snapshot`, if given, has at
+  ///     least kSimdBatchMinMonomials monomials;
+  ///   - a narrower call runs the jit when it is Available() and, given a
+  ///     `snapshot`, once that snapshot has served the jit's
+  ///     break_even_scenarios in such calls. With scalar lanes, and on
+  ///     smaller sets, where simd_batch loses to the jit, wide calls are
+  ///     routed this way too;
+  ///   - every other call runs simd_batch when wide, else compiled (the
+  ///     first registered backend in a registry without it; an empty
+  ///     registry is the only hard failure). Batch 0 runs compiled.
   ///
-  /// With a `snapshot` (the compiled form the batch will run on), a
-  /// backend with a break_even_scenarios cost is eligible only once the
-  /// snapshot has served that many scenarios elsewhere, and a batch routed
-  /// to a cost-free backend adds its width to the snapshot's count
-  /// (CompiledPolynomialSet::CountInterpretedScenarios). A short-lived
-  /// snapshot thus never pays a jit emission it cannot repay, while a
-  /// long-lived one crosses over after its first ~100 scenarios. Without
-  /// a snapshot, routing ignores break-even costs.
+  /// A call the jit could serve but does not yet adds its width to the
+  /// snapshot's count (CompiledPolynomialSet::CountInterpretedScenarios).
+  /// Wide calls that simd_batch takes never count, because the jit never
+  /// serves them. A snapshot that sees only such batches therefore never
+  /// emits code, a short-lived one never pays an emission it cannot repay,
+  /// and a long-lived narrow reader crosses over after its first ~100
+  /// scenarios. Without a snapshot, routing ignores the break-even.
   StatusOr<const EvaluationBackend*> ResolveForBatch(
       const std::string& name, size_t batch_size,
       const CompiledPolynomialSet* snapshot = nullptr) const;

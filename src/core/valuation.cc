@@ -26,11 +26,10 @@ double Valuation::Evaluate(const Polynomial& poly) const {
 
 std::vector<double> Valuation::EvaluateAll(const PolynomialSet& polys) const {
   // Routed through the backend registry so a single scenario and a served
-  // batch exercise the same entry point; the registry's auto policy picks
-  // the highest available tier (the per-artifact "jit" code when
-  // executable memory is usable, the "compiled" kernel otherwise) — every
-  // backend is bitwise identical by contract, so the choice never changes
-  // the result.
+  // batch exercise the same entry point; the registry's auto policy sends a
+  // width-1 call to the per-artifact "jit" code when executable memory is
+  // usable and to the "compiled" kernel otherwise — every backend is
+  // bitwise identical by contract, so the choice never changes the result.
   std::shared_ptr<const CompiledPolynomialSet> compiled = polys.Compiled();
   DenseValuation dense = compiled->MaterializeValuation(*this);
   std::vector<double> out(compiled->poly_count());

@@ -23,8 +23,9 @@ bool JitForceDisabled();
 /// systems and non-x86-64 builds).
 bool JitNativeActive();
 
-/// Scenarios a compiled snapshot serves on the interpreted kernels before
-/// auto-routing sends it to the jit (EvaluationBackendInfo::
+/// Scenarios a compiled snapshot serves in the auto-routed calls the jit
+/// would take (with AVX2 lanes, those narrower than one simd_batch lane
+/// group) before auto-routing sends them to the jit (EvaluationBackendInfo::
 /// break_even_scenarios). Emission is a one-time cost per snapshot, and
 /// every width-1 scenario the jit then serves saves the compiled kernel's
 /// extra time, so the break-even point is emission time over that saving.
@@ -35,12 +36,13 @@ bool JitNativeActive();
 /// scenarios; bench_evaluate_kernel's four workloads (JITSTAT emit_ms, a
 /// fresh emission, over the per-scenario compiled-minus-jit time) give
 /// 59-149 across three runs. One constant near the top of that range emits
-/// only for snapshots that have shown they are read often: append-mixed's
-/// views, replaced after about 10 reads each, stay interpreted, while views
-/// that live for thousands of reads cross over within their first 100.
+/// only for snapshots that have shown they are read often, one scenario at
+/// a time: append-mixed's views, replaced after about 10 reads each, stay
+/// interpreted, views that live for thousands of narrow reads cross over
+/// within their first 100, and scenario families never emit.
 inline constexpr uint64_t kJitBreakEvenScenarios = 100;
 
-/// The top evaluation tier: emits one straight-line native function per
+/// The narrow-call backend: emits one straight-line native function per
 /// polynomial of the compiled artifact (jit/code_generator.h), cached by
 /// compiled-form fingerprint (jit/code_cache.h), and calls it per
 /// (scenario, polynomial) — no interpreter loops, no per-factor offset
@@ -68,8 +70,9 @@ class JitBackend : public EvaluationBackend {
   const EvaluationBackendInfo& info() const override;
 
   /// False when this instance cannot execute native code (forced fallback
-  /// or no executable memory) — the auto policy then routes to the next
-  /// tier while explicit selection still works via the fallback path.
+  /// or no executable memory) — the auto policy then routes narrow calls
+  /// to compiled while explicit selection still works via the fallback
+  /// path.
   bool Available() const override;
 
   /// Why batches went native or fell back, cumulative per instance.

@@ -24,9 +24,9 @@ namespace provabs {
 /// So each call resolves its backend through the evaluation-backend
 /// registry (core/evaluation_backend.h) with its own width and compiled
 /// snapshot, and runs ONE EvaluateBatch over the whole set on the caller's
-/// thread. Routing by snapshot means auto-routed calls reach the jit only
-/// once that snapshot has served its break-even number of scenarios on the
-/// interpreted kernels.
+/// thread. Routing is by width: with AVX2 lanes a call of one lane group or
+/// more runs simd_batch, and a narrower auto-routed call reaches the jit
+/// only once its snapshot has served the break-even number of them.
 ///
 /// Only a call whose work, scenarios × monomials, exceeds the split
 /// threshold is split: into pool-width polynomial ranges holding about
@@ -40,10 +40,11 @@ class EvaluateBatcher {
  public:
   /// Scenarios × monomials above which a call is split across the pool.
   /// In bench_parallel_scaling's direct-against-split table (4-vCPU VM,
-  /// seven runs) a 2- or 4-way split loses at 20,952 (the running example
-  /// at width 1), where its hand-offs cost more than they save, goes
-  /// either way at 45,520 (a Q10 view at width 16), and wins at 4 threads
-  /// in every run from 182,080 (the same view at width 64) up.
+  /// five runs, wide calls on simd_batch) a 4-way split loses at 20,952
+  /// (the running example at width 1), where its hand-offs cost more than
+  /// they save, goes either way at 45,520 and 182,080 (a Q10 view at
+  /// widths 16 and 64), and wins in every run from 335,232 (the running
+  /// example at width 16) up.
   static constexpr uint64_t kSplitWork = 65536;
 
   /// `registry` selects evaluation backends (Default() when null); tests

@@ -593,7 +593,6 @@ Response ProvenanceService::ListBackends(const ListBackendsRequest&) {
       b.vectorized = info.vectorized;
       b.deterministic = info.deterministic;
       b.preferred_batch = info.preferred_batch;
-      b.tier = info.tier;
       resp.backends.push_back(std::move(b));
     }
     return Status::OK();

@@ -98,8 +98,8 @@ constexpr auto Fields(const AlgoCapability*) {
 }
 constexpr auto Fields(const EvalBackendCapability*) {
   using M = EvalBackendCapability;
-  // The tier took spare bits 2-3, so pre-tier peers, which read only bits
-  // 0-1, interoperate without a version bump and decode tier 0.
+  // The retired tier keeps bits 2-3; servers send 0 there, as pre-tier
+  // servers did, and peers that read only bits 0-1 ignore it.
   return std::make_tuple(
       &M::name, &M::summary,
       Flags(&M::vectorized, &M::deterministic, Bits<2>(&M::tier)),

@@ -224,12 +224,12 @@ struct EvalBackendCapability {
   bool vectorized = false;
   /// Same inputs always yield the same bits.
   bool deterministic = false;
-  /// Batch width from which this backend beats the single-scenario kernel.
+  /// Batch width from which this backend is the fastest (simd_batch's is
+  /// the width from which auto-routing sends calls to it).
   uint64_t preferred_batch = 1;
-  /// Speed tier for auto-routing (higher wins): naive=0, compiled=1,
-  /// simd_batch=2, jit=3. Travels in bits 2-3 of the record's flags byte —
-  /// spare bits, so the wire version is unchanged and pre-tier peers (which
-  /// only read bits 0/1) interoperate; their records decode here as tier 0.
+  /// Retired speed tier, bits 2-3 of the record's flags byte. Auto-routing
+  /// no longer ranks by tier, so servers send 0, as pre-tier servers did;
+  /// the field stays coded so v7 bytes are unchanged, and v8 drops it.
   uint32_t tier = 0;
 };
 

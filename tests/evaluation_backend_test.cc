@@ -178,12 +178,6 @@ TEST(EvaluationBackendRegistryTest, DefaultRegistersTheBuiltins) {
   EXPECT_FALSE(jit->info().vectorized);  // scalar per scenario, just faster
   EXPECT_EQ(jit->info().preferred_batch, 1u);
 
-  // The documented auto-routing preference order is encoded in the tiers.
-  EXPECT_GT(jit->info().tier, simd->info().tier);
-  EXPECT_GT(simd->info().tier, registry.Find("compiled")->info().tier);
-  EXPECT_GT(registry.Find("compiled")->info().tier,
-            registry.Find("naive")->info().tier);
-
   // Every built-in except jit is unconditionally available; jit's
   // availability is the host's to decide (never true when forced off).
   EXPECT_TRUE(registry.Find("naive")->Available());
@@ -218,36 +212,46 @@ TEST(EvaluationBackendRegistryTest, UnknownNameListsTheRegisteredSet) {
       << resolved.status().message();
 }
 
-TEST(EvaluationBackendRegistryTest, ResolveForBatchAutoPolicy) {
-  const EvaluationBackendRegistry& registry =
-      EvaluationBackendRegistry::Default();
-  const uint32_t width = registry.Find("simd_batch")->info().preferred_batch;
+/// The widths the routing tests probe: narrow (below one lane group) and
+/// wide (one lane group or more).
+constexpr size_t kNarrowWidths[] = {1, 2, 3};
+constexpr size_t kWideWidths[] = {4, 5, 40, 1024};
 
-  // Auto routing picks the highest available tier. When the jit can emit
-  // native code (executable memory usable, not force-disabled) it wins at
-  // every batch size; otherwise routing degrades to the pre-jit policy:
-  // compiled below the vectorized width, simd_batch at and beyond it. Both
-  // branches are exercised in CI (a NOJIT-forced job runs this same test).
-  const bool jit_active = JitNativeActive();
-  // Batch 0 makes nothing eligible (every preferred_batch is >= 1), so the
-  // auto policy takes its "compiled" fallback no matter what is available.
-  {
-    auto backend = registry.ResolveForBatch("", 0);
-    ASSERT_TRUE(backend.ok());
-    EXPECT_EQ((*backend)->info().name, "compiled");
-  }
-  for (size_t batch : {size_t{1}, size_t{width - 1}}) {
+/// Checks the width rule on a snapshot-free registry: batch 0 runs
+/// compiled, narrow batches the jit when it is active (else compiled), and
+/// wide batches simd_batch either way — unless its lanes are scalar and
+/// the jit is active, when the jit serves them too.
+void ExpectWidthRule(const EvaluationBackendRegistry& registry,
+                     bool jit_active) {
+  const bool wide_jit = jit_active && !SimdBatchAvx2Active();
+  auto empty_batch = registry.ResolveForBatch("", 0);
+  ASSERT_TRUE(empty_batch.ok());
+  EXPECT_EQ((*empty_batch)->info().name, "compiled");
+  for (size_t batch : kNarrowWidths) {
     auto backend = registry.ResolveForBatch("", batch);
     ASSERT_TRUE(backend.ok());
     EXPECT_EQ((*backend)->info().name, jit_active ? "jit" : "compiled")
         << "batch " << batch;
   }
-  for (size_t batch : {size_t{width}, size_t{width + 1}, size_t{10 * width}}) {
+  for (size_t batch : kWideWidths) {
     auto backend = registry.ResolveForBatch("", batch);
     ASSERT_TRUE(backend.ok());
-    EXPECT_EQ((*backend)->info().name, jit_active ? "jit" : "simd_batch")
+    EXPECT_EQ((*backend)->info().name, wide_jit ? "jit" : "simd_batch")
         << "batch " << batch;
   }
+}
+
+TEST(EvaluationBackendRegistryTest, ResolveForBatchAutoPolicy) {
+  const EvaluationBackendRegistry& registry =
+      EvaluationBackendRegistry::Default();
+  // Auto routing goes by width: one lane group (simd_batch's
+  // preferred_batch) and up runs simd_batch, narrower calls run the jit
+  // when it can emit native code (executable memory usable, not
+  // force-disabled) and compiled otherwise. Both jit branches run in CI (a
+  // scalar-lane, NOJIT-forced job runs this same test).
+  EXPECT_EQ(registry.Find("simd_batch")->info().preferred_batch, 4u);
+  ExpectWidthRule(registry, JitNativeActive());
+
   // An explicit name resolves strictly regardless of batch size — including
   // "jit" when unavailable (it degrades internally rather than failing).
   auto naive = registry.ResolveForBatch("naive", 1000);
@@ -263,8 +267,8 @@ TEST(EvaluationBackendRegistryTest, ResolveForBatchAutoPolicy) {
 }
 
 TEST(EvaluationBackendRegistryTest, ForceNojitDegradesAutoRouting) {
-  // With PROVABS_EVAL_FORCE_NOJIT set the jit backend reports unavailable
-  // and the auto policy lands exactly where it did before the jit existed.
+  // With PROVABS_EVAL_FORCE_NOJIT set the jit backend reports unavailable:
+  // narrow calls run compiled, and wide calls still run simd_batch.
   // A fresh registry keeps the probe independent of Default()'s state.
   const char* saved = getenv("PROVABS_EVAL_FORCE_NOJIT");
   std::string saved_value = saved ? saved : "";
@@ -273,14 +277,7 @@ TEST(EvaluationBackendRegistryTest, ForceNojitDegradesAutoRouting) {
   EvaluationBackendRegistry registry;
   ASSERT_TRUE(RegisterBuiltinEvaluationBackends(registry).ok());
   EXPECT_FALSE(registry.Find("jit")->Available());
-  const uint32_t width = registry.Find("simd_batch")->info().preferred_batch;
-
-  auto single = registry.ResolveForBatch("", 1);
-  ASSERT_TRUE(single.ok());
-  EXPECT_EQ((*single)->info().name, "compiled");
-  auto batched = registry.ResolveForBatch("", width);
-  ASSERT_TRUE(batched.ok());
-  EXPECT_EQ((*batched)->info().name, "simd_batch");
+  ExpectWidthRule(registry, /*jit_active=*/false);
 
   // Explicit selection still works; the backend degrades internally.
   auto explicit_jit = registry.ResolveForBatch("jit", 1);
@@ -309,10 +306,33 @@ std::shared_ptr<PolynomialSet> RoutingSet(VariableTable& vars) {
   return polys;
 }
 
-// With a snapshot, auto routing keeps a compiled form on cost-free kernels
-// for its first kJitBreakEvenScenarios scenarios, counting batch widths on
-// the snapshot, and only then lets the jit compete. Explicit names and
-// snapshot-free calls ignore the count and leave it untouched.
+/// A set of kSimdBatchMinMonomials monomials over fresh variables, large
+/// enough that simd_batch takes its wide calls: 8 polynomials of
+/// c * wx<k> * wy.
+std::shared_ptr<PolynomialSet> WideRoutingSet(VariableTable& vars) {
+  const std::string tag = std::to_string(vars.size());
+  const VariableId y = vars.Intern("wy" + tag);
+  auto polys = std::make_shared<PolynomialSet>();
+  const size_t per_poly = kSimdBatchMinMonomials / 8;
+  for (size_t p = 0; p < 8; ++p) {
+    std::vector<Monomial> terms;
+    for (size_t m = 0; m < per_poly; ++m) {
+      const VariableId x =
+          vars.Intern("wx" + tag + "_" + std::to_string(p * per_poly + m));
+      terms.push_back(Monomial(0.5 + static_cast<double>(m), {{x, 1}, {y, 1}}));
+    }
+    polys->Add(Polynomial::FromMonomials(std::move(terms)));
+  }
+  return polys;
+}
+
+// With a snapshot, auto routing keeps a compiled form's narrow calls on the
+// compiled kernel for its first kJitBreakEvenScenarios narrow scenarios,
+// counting them on the snapshot, and only then sends them to the jit. Wide
+// calls on a set of kSimdBatchMinMonomials or more run simd_batch and never
+// count; on a smaller set they route like narrow calls. Explicit names and
+// snapshot-free
+// calls ignore the count and leave it untouched.
 TEST(EvaluationBackendRegistryTest, SnapshotRoutesToJitOnlyPastBreakEven) {
   const EvaluationBackendRegistry& registry =
       EvaluationBackendRegistry::Default();
@@ -336,17 +356,51 @@ TEST(EvaluationBackendRegistryTest, SnapshotRoutesToJitOnlyPastBreakEven) {
   EXPECT_EQ(narrow->interpreted_scenarios(),
             kJitBreakEvenScenarios + (jit_active ? 0 : 1));
 
-  // A wide batch counts its whole width.
-  const uint32_t width = registry.Find("simd_batch")->info().preferred_batch;
+  // On a set below kSimdBatchMinMonomials wide calls route like narrow
+  // ones: past the break-even to an active jit, else to simd_batch, and
+  // counted.
+  const uint64_t served = narrow->interpreted_scenarios();
+  uint64_t wide_total = 0;
+  for (size_t batch : kWideWidths) {
+    auto after = registry.ResolveForBatch("", batch, narrow.get());
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ((*after)->info().name, jit_active ? "jit" : "simd_batch")
+        << "batch " << batch;
+    wide_total += batch;
+  }
+  EXPECT_EQ(narrow->interpreted_scenarios(),
+            served + (jit_active ? 0 : wide_total));
+
+  // On a set of kSimdBatchMinMonomials or more with AVX2 lanes, wide
+  // batches run simd_batch and leave the count alone while narrow widths 2
+  // and 3 count their whole width. Scalar lanes route them like narrow ones.
   std::shared_ptr<const CompiledPolynomialSet> wide =
-      RoutingSet(vars)->Compiled();
-  auto first = registry.ResolveForBatch("", kJitBreakEvenScenarios + width,
-                                        wide.get());
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ((*first)->info().name, "simd_batch");
-  auto second = registry.ResolveForBatch("", width, wide.get());
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ((*second)->info().name, jit_active ? "jit" : "simd_batch");
+      WideRoutingSet(vars)->Compiled();
+  ASSERT_EQ(wide->monomial_count(), kSimdBatchMinMonomials);
+  if (SimdBatchAvx2Active()) {
+    for (size_t batch : kWideWidths) {
+      auto first = registry.ResolveForBatch(
+          "", kJitBreakEvenScenarios * batch, wide.get());
+      ASSERT_TRUE(first.ok());
+      EXPECT_EQ((*first)->info().name, "simd_batch") << "batch " << batch;
+    }
+    EXPECT_EQ(wide->interpreted_scenarios(), 0u);
+    auto two = registry.ResolveForBatch("", 2, wide.get());
+    ASSERT_TRUE(two.ok());
+    EXPECT_EQ((*two)->info().name, "compiled");
+    auto three = registry.ResolveForBatch("", 3, wide.get());
+    ASSERT_TRUE(three.ok());
+    EXPECT_EQ((*three)->info().name, "compiled");
+    EXPECT_EQ(wide->interpreted_scenarios(), 5u);
+  } else {
+    auto first = registry.ResolveForBatch("", kJitBreakEvenScenarios + 4,
+                                          wide.get());
+    ASSERT_TRUE(first.ok());
+    EXPECT_EQ((*first)->info().name, "simd_batch");
+    auto second = registry.ResolveForBatch("", 4, wide.get());
+    ASSERT_TRUE(second.ok());
+    EXPECT_EQ((*second)->info().name, jit_active ? "jit" : "simd_batch");
+  }
 
   std::shared_ptr<const CompiledPolynomialSet> untouched =
       RoutingSet(vars)->Compiled();
@@ -359,10 +413,13 @@ TEST(EvaluationBackendRegistryTest, SnapshotRoutesToJitOnlyPastBreakEven) {
   EXPECT_EQ(untouched->interpreted_scenarios(), 0u);
 }
 
-// Through the serving batcher: a fresh snapshot's first
-// kJitBreakEvenScenarios evaluations leave the jit code cache's miss count
-// unchanged, the next one emits and runs native code, and an explicit
-// "jit" request emits on its first call. Every answer stays bitwise naive.
+// Through the serving batcher: on AVX2 lanes a 1,000-scenario family on a
+// fresh snapshot of kSimdBatchMinMonomials monomials runs simd_batch and
+// neither emits nor counts toward the break-even; the snapshot's first
+// kJitBreakEvenScenarios width-1 evaluations leave the jit code cache's
+// miss count unchanged, the next one emits and runs native code, and an
+// explicit "jit" request emits on its first call. Every answer stays
+// bitwise naive.
 TEST(EvaluationBackendRoutingTest, BatcherEmitsOnlyPastBreakEven) {
   if (!JitNativeActive()) GTEST_SKIP() << "no native jit on this host";
   ThreadPool pool(1);
@@ -372,14 +429,30 @@ TEST(EvaluationBackendRoutingTest, BatcherEmitsOnlyPastBreakEven) {
       EvaluationBackendRegistry::Default().Find("jit"));
   ASSERT_NE(jit, nullptr);
   VariableTable vars;
-  std::shared_ptr<PolynomialSet> polys = RoutingSet(vars);
+  std::shared_ptr<PolynomialSet> polys = WideRoutingSet(vars);
   Valuation val;
-  val.Set(vars.Find("rx0"), 0.75);
-  val.Set(vars.Find("ry0"), 1.25);
+  val.Set(vars.Find("wx0_7"), 0.75);
+  val.Set(vars.Find("wy0"), 1.25);
   const std::vector<double> expected = NaiveEvaluateAll(val, *polys);
 
   const uint64_t misses = cache.stats().misses;
   const uint64_t native = jit->stats().native_batches;
+  std::shared_ptr<const CompiledPolynomialSet> compiled = polys->Compiled();
+  if (SimdBatchAvx2Active()) {
+    std::vector<DenseValuation> family(1000,
+                                       compiled->MaterializeValuation(val));
+    std::string ran;
+    StatusOr<std::vector<std::vector<double>>> wide =
+        batcher.EvaluateDense(polys, compiled, std::move(family), "", &ran);
+    ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+    EXPECT_EQ(ran, "simd_batch");
+    ASSERT_EQ(wide->size(), 1000u);
+    ExpectBitwiseEqual(expected, wide->back(), "wide family");
+    EXPECT_EQ(cache.stats().misses, misses);
+    EXPECT_EQ(jit->stats().native_batches, native);
+    EXPECT_EQ(compiled->interpreted_scenarios(), 0u);
+  }
+
   for (uint64_t i = 0; i < kJitBreakEvenScenarios; ++i) {
     StatusOr<std::vector<double>> out = batcher.Evaluate(polys, val);
     ASSERT_TRUE(out.ok()) << out.status().ToString();
@@ -387,6 +460,7 @@ TEST(EvaluationBackendRoutingTest, BatcherEmitsOnlyPastBreakEven) {
   }
   EXPECT_EQ(cache.stats().misses, misses);
   EXPECT_EQ(jit->stats().native_batches, native);
+  EXPECT_EQ(compiled->interpreted_scenarios(), kJitBreakEvenScenarios);
 
   StatusOr<std::vector<double>> crossed = batcher.Evaluate(polys, val);
   ASSERT_TRUE(crossed.ok()) << crossed.status().ToString();

@@ -15,6 +15,7 @@
 #include "core/evaluation_backend.h"
 #include "core/valuation.h"
 #include "io/serializer.h"
+#include "jit/code_cache.h"
 #include "scenario/program.h"
 #include "server/artifact_store.h"
 #include "server/evaluate_batcher.h"
@@ -537,12 +538,11 @@ TEST_F(ServiceTest, ListBackendsReturnsCapabilityRecords) {
   EXPECT_EQ(resp.backends[3].name, "simd_batch");
   EXPECT_TRUE(resp.backends[3].vectorized);
   EXPECT_GT(resp.backends[3].preferred_batch, 1u);
-  // Tiers travel over the wire so clients can route by speed preference.
-  EXPECT_GT(resp.backends[1].tier, resp.backends[3].tier);  // jit > simd
-  EXPECT_GT(resp.backends[3].tier, resp.backends[0].tier);  // simd > compiled
   for (const EvalBackendCapability& b : resp.backends) {
     EXPECT_TRUE(b.deterministic) << b.name;
     EXPECT_FALSE(b.summary.empty()) << b.name;
+    // Routing no longer ranks by tier; the retired bits go out as 0.
+    EXPECT_EQ(b.tier, 0u) << b.name;
   }
 
   // And over the frame path: request 23 round-trips through HandleFrame.
@@ -600,6 +600,24 @@ TEST_F(ServiceTest, EvaluateRoutesThroughNamedBackend) {
 /// one EvaluateScenarioProgram request must be observationally identical —
 /// bitwise, not approximately — to issuing every expanded scenario as its
 /// own Evaluate request.
+/// A set of kSimdBatchMinMonomials monomials, large enough that simd_batch
+/// takes its wide calls: 16 polynomials of 64 monomials c * m<k> * b<p>.
+std::string WideSetBytes(VariableTable& vars) {
+  PolynomialSet polys;
+  const size_t per_poly = kSimdBatchMinMonomials / 16;
+  for (size_t p = 0; p < 16; ++p) {
+    const VariableId b = vars.Intern("bw" + std::to_string(p));
+    std::vector<Monomial> terms;
+    for (size_t m = 0; m < per_poly; ++m) {
+      const VariableId x =
+          vars.Intern("mw" + std::to_string(p * per_poly + m));
+      terms.push_back(Monomial(1.0 + static_cast<double>(m), {{x, 1}, {b, 1}}));
+    }
+    polys.Add(Polynomial::FromMonomials(std::move(terms)));
+  }
+  return SerializePolynomialSet(polys, vars);
+}
+
 class ScenarioServiceTest : public ServiceTest {
  protected:
   /// Per-scenario reference arm: expands `program_source` locally against
@@ -758,15 +776,45 @@ TEST_F(ScenarioServiceTest, ScenarioRequestsEchoTheBackendThatRan) {
   ASSERT_TRUE(named.ok()) << named.message;
   EXPECT_EQ(named.eval_backend, "naive");
 
+  // Families of one lane group or more run simd_batch on a fresh artifact
+  // of kSimdBatchMinMonomials monomials however many scenarios it has
+  // served, so they never emit jit code (scalar lanes hand them to an
+  // active jit past its break-even).
+  const bool wide_jit =
+      EvaluationBackendRegistry::Default().Find("jit")->Available() &&
+      !SimdBatchAvx2Active();
+  LoadRequest fresh;
+  fresh.artifact = "fresh";
+  fresh.polys_bytes = WideSetBytes(vars_);
+  ASSERT_TRUE(service_->Load(fresh).ok());
+  const uint64_t misses = jit::JitCodeCache::Default().stats().misses;
+  for (size_t width : {16, 64, 256, 1024}) {
+    if (wide_jit) break;
+    std::string grid;
+    for (size_t i = 0; i < width; ++i) {
+      grid += (i == 0 ? "" : ", ") + std::to_string(0.5 + 0.001 * i);
+    }
+    EvaluateScenarioProgramRequest family;
+    family.artifact = "fresh";
+    family.program = "LET a = GRID(" + grid + "); SET PREFIX(m) = a;";
+    family.shape = ScenarioShape::kTopK;
+    family.top_k = 1;
+    Response resp = service_->EvaluateScenarioProgram(family);
+    ASSERT_TRUE(resp.ok()) << resp.message;
+    ASSERT_EQ(resp.scenario_count, width);
+    EXPECT_EQ(resp.eval_backend, "simd_batch") << "width " << width;
+  }
+  EXPECT_EQ(jit::JitCodeCache::Default().stats().misses, misses);
+
   ServiceOptions tiny_chunks;
   tiny_chunks.scenario_chunk = 7;
   ProvenanceService chunked(tiny_chunks);
-  LoadRequest load;
-  load.artifact = "ex";
-  load.polys_bytes = polys_bytes_;
-  load.forests = {{"plans", plans_bytes_}};
-  ASSERT_TRUE(chunked.Load(load).ok());
+  fresh.artifact = "wide";
+  ASSERT_TRUE(chunked.Load(fresh).ok());
+  req.artifact = "wide";
   req.eval_backend.clear();
+  req.shape = ScenarioShape::kTopK;
+  req.top_k = 1;
   req.program =
       "LET a = SWEEP(0.5 .. 1.4 STEP 0.1); LET b = SWEEP(0.5 .. 1.4 STEP 0.1);"
       "LET c = SWEEP(0.5 .. 1.4 STEP 0.1);"
@@ -774,8 +822,7 @@ TEST_F(ScenarioServiceTest, ScenarioRequestsEchoTheBackendThatRan) {
   Response chunked_resp = chunked.EvaluateScenarioProgram(req);
   ASSERT_TRUE(chunked_resp.ok()) << chunked_resp.message;
   ASSERT_EQ(chunked_resp.scenario_count, 1000u);  // last chunk: 6 scenarios
-  const bool jit = EvaluationBackendRegistry::Default().Find("jit")->Available();
-  EXPECT_EQ(chunked_resp.eval_backend, jit ? "jit" : "compiled");
+  EXPECT_EQ(chunked_resp.eval_backend, wide_jit ? "jit" : "simd_batch");
 }
 
 TEST_F(ScenarioServiceTest, ShapedResponsesPickByObjective) {

@@ -14,7 +14,9 @@
 #     field- and byte-identical;
 #   - bench_evaluate_kernel: simd_batch (BATCHSTAT lines) and native jit
 #     code (JITSTAT lines with mode=native; a jit fallback is the compiled
-#     kernel itself) >= 1.0x the single-scenario compiled loop.
+#     kernel itself) >= 1.0x the single-scenario compiled loop, and the
+#     auto-routed backend at width 1 and 40 no more than 1.5x slower than
+#     the fastest registered one (ROUTESTAT best_over_auto >= 0.67).
 # bench_evaluate_kernel and bench_parallel_scaling also exit nonzero when an
 # evaluation path (the serving evaluator, or a call split across the pool)
 # differs bitwise from the path it is compared against.

@@ -102,16 +102,13 @@ void PrintAlgoLine(std::FILE* out, const std::string& name,
 /// server's ListBackends records) so the two renderings cannot drift.
 void PrintBackendLine(std::FILE* out, const std::string& name,
                       const std::string& summary, bool vectorized,
-                      bool deterministic, uint64_t preferred_batch,
-                      uint32_t tier) {
+                      bool deterministic, uint64_t preferred_batch) {
   std::string caps;
   if (vectorized) caps += ", simd";
   if (!deterministic) caps += ", nondeterministic";
   if (preferred_batch > 1) {
     caps += ", batch>=" + std::to_string(preferred_batch);
   }
-  // Auto-routing prefers the highest tier, so the listing shows it.
-  caps += ", tier=" + std::to_string(tier);
   std::fprintf(out, "  %-10s %s%s\n", name.c_str(), summary.c_str(),
                caps.c_str());
 }
@@ -130,7 +127,7 @@ void PrintUsage(std::FILE* out) {
   for (const EvaluationBackendInfo& info :
        EvaluationBackendRegistry::Default().Infos()) {
     PrintBackendLine(out, info.name, info.summary, info.vectorized,
-                     info.deterministic, info.preferred_batch, info.tier);
+                     info.deterministic, info.preferred_batch);
   }
 }
 
@@ -998,7 +995,7 @@ int CmdRemoteInfo(const Args& args) {
   std::printf("evaluation backends:\n");
   for (const EvalBackendCapability& b : backends->backends) {
     PrintBackendLine(stdout, b.name, b.summary, b.vectorized,
-                     b.deterministic, b.preferred_batch, b.tier);
+                     b.deterministic, b.preferred_batch);
   }
   return 0;
 }
