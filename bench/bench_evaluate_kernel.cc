@@ -24,6 +24,9 @@
 ///
 ///   BATCHSTAT workload=<w> backend=<name> batch=<n> seconds=<t> ratio=<r>
 ///
+/// Each backend runs one untimed batch before its timed reps, so the jit's
+/// line is its steady state and excludes the code emission.
+///
 /// The simd_batch ratio must not fall below 1.0x: a vectorized backend
 /// slower than the scalar loop it batches is a regression even at smoke
 /// scale. The floor is a same-run ratio, so it holds on any machine and the
@@ -130,17 +133,22 @@ bool RunBatchedArm(const Workload& w,
       EvaluationBackendRegistry::Default();
   for (const std::string& name : registry.Names()) {
     const EvaluationBackend* backend = registry.Find(name);
+    auto batch = [&] {
+      return backend->EvaluateBatch(compiled, 0, poly_count,
+                                    dense_ptrs.data(), out_ptrs.data(), n);
+    };
+    // One untimed batch first, so the timed reps are the steady state: the
+    // jit emits its code for this snapshot there, and the jit and routing
+    // arms leave emission out of their timings too.
+    Status status = batch();
     Timer timer;
-    for (int rep = 0; rep < kReps; ++rep) {
-      Status status = backend->EvaluateBatch(
-          compiled, 0, poly_count, dense_ptrs.data(), out_ptrs.data(), n);
-      if (!status.ok()) {
-        std::printf("BATCH ERROR %s/%s: %s\n", w.name.c_str(), name.c_str(),
-                    status.ToString().c_str());
-        return false;
-      }
-    }
+    for (int rep = 0; rep < kReps && status.ok(); ++rep) status = batch();
     const double seconds = timer.ElapsedSeconds() / kReps;
+    if (!status.ok()) {
+      std::printf("BATCH ERROR %s/%s: %s\n", w.name.c_str(), name.c_str(),
+                  status.ToString().c_str());
+      return false;
+    }
     for (size_t s = 0; s < n; ++s) {
       if (!BitwiseEqual(naive_results[s], out[s])) {
         std::printf("BATCH MISMATCH in %s backend=%s scenario %zu\n",

@@ -1,7 +1,5 @@
 #include "server/artifact_store.h"
 
-#include <algorithm>
-
 #include "algo/optimal_single_tree.h"
 #include "core/compiled_polynomial_set.h"
 #include "io/byte_stream.h"
@@ -35,9 +33,6 @@ size_t ApproxArtifactBytes(const Artifact& artifact) {
   bytes += artifact.vars->size() * 48;  // interner strings + index entries
   for (const auto& [name, forest] : artifact.forests) {
     bytes += name.size() + forest.TotalNodes() * 64;
-  }
-  for (const auto& [name, raw] : artifact.forest_bytes) {
-    bytes += name.size() + raw.size();
   }
   return bytes;
 }
@@ -75,16 +70,32 @@ size_t ApproxResultBytes(ArtifactStore::CompressedResult& result) {
          result.algo_result.substitution.size() * 32 + result.view_bytes;
 }
 
+/// The slot keys of `key` at each of `generations`.
+template <typename Key, typename Encode>
+std::vector<std::string> SlotKeysAt(Key key,
+                                    const std::vector<uint64_t>& generations,
+                                    Encode encode) {
+  std::vector<std::string> keys;
+  keys.reserve(generations.size());
+  for (uint64_t generation : generations) {
+    key.generation = generation;
+    keys.push_back(encode(key));
+  }
+  return keys;
+}
+
+/// The shared, charged form of a result about to be published.
+std::shared_ptr<const ArtifactStore::CompressedResult> ShareResult(
+    ArtifactStore::CompressedResult result) {
+  auto shared =
+      std::make_shared<ArtifactStore::CompressedResult>(std::move(result));
+  shared->approx_bytes = ApproxResultBytes(*shared);
+  return shared;
+}
+
 }  // namespace
 
-ArtifactStore::ArtifactStore(size_t byte_budget, size_t shards)
-    : byte_budget_(byte_budget),
-      shards_(std::max<size_t>(1, shards == 0 ? kDefaultShards : shards)) {
-  // Each shard owns an equal slice of the budget; a slice is never zero so
-  // the "most recent entry survives" guarantee holds per shard.
-  const size_t per_shard = std::max<size_t>(1, byte_budget / shards_.size());
-  for (Shard& shard : shards_) shard.byte_budget = per_shard;
-}
+ArtifactStore::ArtifactStore(size_t byte_budget) : byte_budget_(byte_budget) {}
 
 std::string ArtifactStore::ArtifactSlotKey(const std::string& name) {
   return "a" + name;
@@ -134,18 +145,14 @@ uint64_t ArtifactStore::HashProgramSource(std::string_view source) {
   return hash;
 }
 
-ArtifactStore::Shard& ArtifactStore::ShardFor(const std::string& slot_key) {
-  return shards_[std::hash<std::string>{}(slot_key) % shards_.size()];
-}
-
 StatusOr<std::shared_ptr<const Artifact>> ArtifactStore::Load(
     const std::string& name, std::string polys_bytes,
     const std::vector<std::pair<std::string, std::string>>& forests) {
   // One load at a time: the read-merge-install cycle below must not
   // interleave with another load of the same artifact (lost update).
   std::lock_guard<std::mutex> load_lock(load_mutex_);
-  // Forest-only loads rebuild the existing artifact's current polynomials
-  // and raw forest bytes into a fresh table.
+  // A forest-only load rebuilds the existing artifact's current
+  // polynomials and forests into a fresh table.
   std::map<std::string, std::string> forest_bytes;
   if (polys_bytes.empty()) {
     std::shared_ptr<const Artifact> existing = Get(name);
@@ -154,34 +161,30 @@ StatusOr<std::shared_ptr<const Artifact>> ArtifactStore::Load(
                               "' not loaded (a first load needs polynomials)");
     }
     polys_bytes = SerializePolynomialSet(existing->polys, *existing->vars);
-    forest_bytes = existing->forest_bytes;
+    for (const auto& [forest_name, forest] : existing->forests) {
+      forest_bytes[forest_name] = SerializeForest(forest, *existing->vars);
+    }
   }
   for (const auto& [forest_name, bytes] : forests) {
     forest_bytes[forest_name] = bytes;
   }
 
-  // Deserialization happens outside any shard lock: loads are rare but
+  // Deserialization happens outside the store lock: loads are rare but
   // heavy, and must not stall concurrent evaluate traffic.
   auto artifact = std::make_shared<Artifact>();
   artifact->vars = std::make_shared<VariableTable>();
   auto polys = DeserializePolynomialSet(polys_bytes, *artifact->vars);
   if (!polys.ok()) return polys.status();
   artifact->polys = std::move(*polys);
-  for (auto& [forest_name, bytes] : forest_bytes) {
+  for (const auto& [forest_name, bytes] : forest_bytes) {
     auto forest = DeserializeForest(bytes, *artifact->vars);
     if (!forest.ok()) return forest.status();
     artifact->forests.emplace(forest_name, std::move(*forest));
   }
-  artifact->forest_bytes = std::move(forest_bytes);
   artifact->approx_bytes = ApproxArtifactBytes(*artifact);
   artifact->generation =
       next_generation_.fetch_add(1, std::memory_order_relaxed);
-
-  const std::string slot_key = ArtifactSlotKey(name);
-  Slot slot;
-  slot.artifact = artifact;
-  slot.bytes = artifact->approx_bytes;
-  InsertSlot(slot_key, std::move(slot));
+  Publish(ArtifactSlotKey(name), Slot{artifact, artifact->approx_bytes});
   return std::shared_ptr<const Artifact>(artifact);
 }
 
@@ -217,7 +220,6 @@ StatusOr<std::shared_ptr<const Artifact>> ArtifactStore::Append(
     artifact->polys.Add(p);
   }
   artifact->forests = existing->forests;
-  artifact->forest_bytes = existing->forest_bytes;
   artifact->ancestry = existing->ancestry;
   artifact->ancestry.push_back(
       Artifact::Ancestor{existing->generation, existing->polys.revision()});
@@ -227,95 +229,107 @@ StatusOr<std::shared_ptr<const Artifact>> ArtifactStore::Append(
   artifact->approx_bytes = ApproxArtifactBytes(*artifact);
   artifact->generation =
       next_generation_.fetch_add(1, std::memory_order_relaxed);
-
-  const std::string slot_key = ArtifactSlotKey(name);
-  Slot slot;
-  slot.artifact = artifact;
-  slot.bytes = artifact->approx_bytes;
-  InsertSlot(slot_key, std::move(slot));
+  Publish(ArtifactSlotKey(name), Slot{artifact, artifact->approx_bytes});
   return std::shared_ptr<const Artifact>(artifact);
 }
 
-std::shared_ptr<const Artifact> ArtifactStore::Get(const std::string& name) {
-  const std::string slot_key = ArtifactSlotKey(name);
-  Shard& shard = ShardFor(slot_key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.slots.find(slot_key);
-  if (it == shard.slots.end()) return nullptr;
-  Touch(shard, it);
-  return it->second.artifact;
-}
-
-std::shared_ptr<const ArtifactStore::CompressedResult>
-ArtifactStore::LookupSlot(const std::string& slot_key, CountMode mode) {
-  Shard& shard = ShardFor(slot_key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.slots.find(slot_key);
-  if (it == shard.slots.end()) {
-    if (mode == CountMode::kHitsAndMisses) {
-      result_misses_.fetch_add(1, std::memory_order_relaxed);
-    }
+template <typename T>
+std::shared_ptr<const T> ArtifactStore::Lookup(const std::string& slot_key,
+                                               std::atomic<uint64_t>* hits,
+                                               std::atomic<uint64_t>* misses) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = slots_.find(slot_key);
+  if (it == slots_.end()) {
+    if (misses != nullptr) misses->fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
-  if (mode != CountMode::kNone) {
-    result_hits_.fetch_add(1, std::memory_order_relaxed);
-  }
-  Touch(shard, it);
-  return it->second.result;
+  if (hits != nullptr) hits->fetch_add(1, std::memory_order_relaxed);
+  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+  // The aliasing constructor shares ownership without a second copy.
+  const std::shared_ptr<const void>& value = it->second.value;
+  return std::shared_ptr<const T>(value, static_cast<const T*>(value.get()));
+}
+
+std::shared_ptr<const Artifact> ArtifactStore::Get(const std::string& name) {
+  return Lookup<Artifact>(ArtifactSlotKey(name));
 }
 
 std::shared_ptr<const ArtifactStore::CompressedResult>
 ArtifactStore::LookupResult(const ResultKey& key) {
-  return LookupSlot(ResultSlotKey(key), CountMode::kHitsAndMisses);
+  return Lookup<CompressedResult>(ResultSlotKey(key), &result_hits_,
+                                  &result_misses_);
 }
 
 std::shared_ptr<const ArtifactStore::CompressedResult>
 ArtifactStore::PeekResult(const ResultKey& key) {
-  return LookupSlot(ResultSlotKey(key), CountMode::kNone);
-}
-
-std::shared_ptr<const ArtifactStore::CompressedResult>
-ArtifactStore::InsertResultSlot(const std::string& slot_key,
-                                CompressedResult result) {
-  auto shared = std::make_shared<CompressedResult>(std::move(result));
-  shared->approx_bytes = ApproxResultBytes(*shared);
-  Slot slot;
-  slot.result = shared;
-  slot.bytes = shared->approx_bytes;
-  InsertSlot(slot_key, std::move(slot));
-  return shared;
+  return Lookup<CompressedResult>(ResultSlotKey(key));
 }
 
 std::shared_ptr<const ArtifactStore::CompressedResult>
 ArtifactStore::InsertResult(const ResultKey& key, CompressedResult result) {
-  return InsertResultSlot(ResultSlotKey(key), std::move(result));
+  std::shared_ptr<const CompressedResult> shared =
+      ShareResult(std::move(result));
+  Publish(ResultSlotKey(key), Slot{shared, shared->approx_bytes});
+  return shared;
 }
 
 std::shared_ptr<const scenario::ScenarioProgram> ArtifactStore::LookupProgram(
     const ProgramKey& key) {
-  const std::string slot_key = ProgramSlotKey(key);
-  Shard& shard = ShardFor(slot_key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.slots.find(slot_key);
-  if (it == shard.slots.end()) {
-    program_misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  program_hits_.fetch_add(1, std::memory_order_relaxed);
-  Touch(shard, it);
-  return it->second.program;
+  return Lookup<scenario::ScenarioProgram>(ProgramSlotKey(key),
+                                           &program_hits_, &program_misses_);
 }
 
 std::shared_ptr<const scenario::ScenarioProgram> ArtifactStore::InsertProgram(
     const ProgramKey& key, scenario::ScenarioProgram program) {
   auto shared =
       std::make_shared<const scenario::ScenarioProgram>(std::move(program));
-  const std::string slot_key = ProgramSlotKey(key);
-  Slot slot;
-  slot.program = shared;
-  slot.bytes = shared->ApproxBytes();
-  InsertSlot(slot_key, std::move(slot));
+  Publish(ProgramSlotKey(key), Slot{shared, shared->ApproxBytes()});
   return shared;
+}
+
+template <typename T, typename AcceptFn, typename MakeFn,
+          typename SupersededFn>
+StatusOr<std::shared_ptr<const T>> ArtifactStore::Fill(
+    const std::string& slot_key, const std::string& flight_key,
+    bool count_results, const AcceptFn& accept, const MakeFn& make,
+    const SupersededFn& superseded, GetOrComputeInfo* info) {
+  std::atomic<uint64_t>* hits = count_results ? &result_hits_ : nullptr;
+  for (;;) {
+    std::shared_ptr<const T> cached =
+        Lookup<T>(slot_key, hits, count_results ? &result_misses_ : nullptr);
+    if (cached != nullptr && accept(*cached)) {
+      if (info != nullptr) info->cache_hit = true;
+      return cached;
+    }
+    bool recheck_hit = false;
+    bool deduped = false;
+    InflightRegistry::Outcome outcome = inflight_.DoOrWait(
+        flight_key,
+        [&]() -> InflightRegistry::Outcome {
+          // Re-check after claiming the key: a previous leader may have
+          // published between the lookup above and the claim.
+          std::shared_ptr<const T> again = Lookup<T>(slot_key, hits);
+          if (again != nullptr && accept(*again)) {
+            recheck_hit = true;
+            return {Status::OK(), std::move(again)};
+          }
+          StatusOr<Slot> made = make(again);
+          if (!made.ok()) return {made.status(), nullptr};
+          std::shared_ptr<const void> value = made->value;
+          Publish(slot_key, std::move(*made), superseded());
+          return {Status::OK(), std::move(value)};
+        },
+        &deduped);
+    if (info != nullptr) {
+      info->cache_hit = recheck_hit;
+      info->dedup_hit = deduped;
+    }
+    if (!outcome.status.ok()) return outcome.status;
+    // A waiter receives whatever the leader needed, which may not be what
+    // this caller needs; the next round computes it.
+    auto value = std::static_pointer_cast<const T>(outcome.value);
+    if (accept(*value)) return value;
+  }
 }
 
 StatusOr<std::shared_ptr<const ArtifactStore::CompressedResult>>
@@ -323,43 +337,17 @@ ArtifactStore::GetOrCompute(const ResultKey& key,
                             const ResultComputeFn& compute,
                             GetOrComputeInfo* info,
                             const std::vector<uint64_t>& superseded) {
-  // One key encoding serves the lookup, the in-flight slot, the post-claim
-  // re-check, and the insert — this is the serving hot path.
   const std::string slot_key = ResultSlotKey(key);
-  if (auto cached = LookupSlot(slot_key, CountMode::kHitsAndMisses)) {
-    if (info != nullptr) info->cache_hit = true;
-    return cached;
-  }
-
-  bool deduped = false;
-  bool recheck_hit = false;
-  InflightRegistry::Outcome outcome = inflight_.DoOrWait(
-      slot_key,
-      [&]() -> InflightRegistry::Outcome {
-        // Double-check after claiming the slot: a previous leader may have
-        // published between our miss above and the claim.
-        if (auto again = LookupSlot(slot_key, CountMode::kHitsOnly)) {
-          recheck_hit = true;
-          return {Status::OK(), std::move(again)};
-        }
-        StatusOr<CompressedResult> computed = compute();
-        if (!computed.ok()) return {computed.status(), nullptr};
-        std::shared_ptr<const CompressedResult> published =
-            InsertResultSlot(slot_key, std::move(*computed));
-        ResultKey old_key = key;
-        for (uint64_t generation : superseded) {
-          old_key.generation = generation;
-          EraseKey(ResultSlotKey(old_key));
-        }
-        return {Status::OK(), std::move(published)};
+  return Fill<CompressedResult>(
+      slot_key, slot_key, /*count_results=*/true,
+      [](const CompressedResult&) { return true; },
+      [&](const std::shared_ptr<const CompressedResult>&) -> StatusOr<Slot> {
+        PROVABS_ASSIGN_OR_RETURN(CompressedResult computed, compute());
+        std::shared_ptr<const CompressedResult> shared =
+            ShareResult(std::move(computed));
+        return Slot{shared, shared->approx_bytes};
       },
-      &deduped);
-  if (info != nullptr) {
-    info->cache_hit = recheck_hit;
-    info->dedup_hit = deduped;
-  }
-  if (!outcome.status.ok()) return outcome.status;
-  return std::static_pointer_cast<const CompressedResult>(outcome.value);
+      [&] { return SlotKeysAt(key, superseded, ResultSlotKey); }, info);
 }
 
 StatusOr<std::shared_ptr<const ArtifactStore::CompressedResult>>
@@ -369,68 +357,41 @@ ArtifactStore::GetOrBuildView(const ResultKey& key,
   const std::string slot_key = ResultSlotKey(key);
   std::string flight_key = slot_key;
   flight_key[0] = 'v';  // a view build, not the result's own fill
-  InflightRegistry::Outcome outcome = inflight_.DoOrWait(
-      flight_key, [&]() -> InflightRegistry::Outcome {
-        if (auto latest = LookupSlot(slot_key, CountMode::kNone)) {
-          if (latest->view_built) return {Status::OK(), std::move(latest)};
-          entry = std::move(latest);
-        }
-        StatusOr<CompressedResult> built = build(*entry);
-        if (!built.ok()) return {built.status(), nullptr};
-        built->view_built = true;
-        built->view_base = nullptr;
-        return {Status::OK(), InsertResultSlot(slot_key, std::move(*built))};
-      });
-  if (!outcome.status.ok()) return outcome.status;
-  return std::static_pointer_cast<const CompressedResult>(outcome.value);
+  return Fill<CompressedResult>(
+      slot_key, flight_key, /*count_results=*/false,
+      [](const CompressedResult& result) { return result.view_built; },
+      [&](const std::shared_ptr<const CompressedResult>& latest)
+          -> StatusOr<Slot> {
+        PROVABS_ASSIGN_OR_RETURN(CompressedResult built,
+                                 build(latest != nullptr ? *latest : *entry));
+        built.view_built = true;
+        built.view_base = nullptr;
+        std::shared_ptr<const CompressedResult> shared =
+            ShareResult(std::move(built));
+        return Slot{shared, shared->approx_bytes};
+      },
+      [] { return std::vector<std::string>(); }, nullptr);
 }
 
 ArtifactStore::DpState ArtifactStore::PeekState(const StateKey& key) {
-  return StateAt(StateSlotKey(key));
-}
-
-ArtifactStore::DpState ArtifactStore::StateAt(const std::string& slot_key) {
-  Shard& shard = ShardFor(slot_key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.slots.find(slot_key);
-  if (it == shard.slots.end()) return nullptr;
-  Touch(shard, it);
-  return it->second.state;
+  return Lookup<internal::RetainedDpState>(StateSlotKey(key));
 }
 
 StatusOr<ArtifactStore::DpState> ArtifactStore::GetOrComputeState(
     const StateKey& key, uint32_t min_clamp, const StateComputeFn& compute,
     const std::vector<uint64_t>& superseded) {
   const std::string slot_key = StateSlotKey(key);
-  for (;;) {
-    DpState cached = StateAt(slot_key);
-    if (cached != nullptr && cached->clamp >= min_clamp) return cached;
-    InflightRegistry::Outcome outcome = inflight_.DoOrWait(
-        slot_key, [&]() -> InflightRegistry::Outcome {
-          DpState narrow = StateAt(slot_key);
-          if (narrow != nullptr && narrow->clamp >= min_clamp) {
-            return {Status::OK(), std::move(narrow)};
-          }
-          StatusOr<DpState> computed = compute(narrow);
-          if (!computed.ok()) return {computed.status(), nullptr};
-          Slot slot;
-          slot.state = *computed;
-          slot.bytes = ApproxDpStateBytes(**computed);
-          InsertSlot(slot_key, std::move(slot));
-          StateKey old_key = key;
-          for (uint64_t generation : superseded) {
-            old_key.generation = generation;
-            EraseKey(StateSlotKey(old_key));
-          }
-          return {Status::OK(), std::move(*computed)};
-        });
-    if (!outcome.status.ok()) return outcome.status;
-    // A waiter receives whatever the leader needed, which may be narrower
-    // than what this caller needs; the next round rebuilds it wider.
-    auto state = std::static_pointer_cast<const internal::RetainedDpState>(
-        outcome.value);
-    if (state->clamp >= min_clamp) return state;
-  }
+  return Fill<internal::RetainedDpState>(
+      slot_key, slot_key, /*count_results=*/false,
+      [&](const internal::RetainedDpState& state) {
+        return state.clamp >= min_clamp;
+      },
+      [&](const DpState& narrow) -> StatusOr<Slot> {
+        PROVABS_ASSIGN_OR_RETURN(DpState state, compute(narrow));
+        const size_t bytes = ApproxDpStateBytes(*state);
+        return Slot{std::move(state), bytes};
+      },
+      [&] { return SlotKeysAt(key, superseded, StateSlotKey); }, nullptr);
 }
 
 ArtifactStore::Stats ArtifactStore::stats() const {
@@ -441,7 +402,7 @@ ArtifactStore::Stats ArtifactStore::stats() const {
   stats.state_count = state_count_.load(std::memory_order_relaxed);
   stats.program_hits = program_hits_.load(std::memory_order_relaxed);
   stats.program_misses = program_misses_.load(std::memory_order_relaxed);
-  stats.cached_bytes = used_bytes_total_.load(std::memory_order_relaxed);
+  stats.cached_bytes = used_bytes_.load(std::memory_order_relaxed);
   stats.byte_budget = byte_budget_;
   stats.result_hits = result_hits_.load(std::memory_order_relaxed);
   stats.result_misses = result_misses_.load(std::memory_order_relaxed);
@@ -452,51 +413,50 @@ ArtifactStore::Stats ArtifactStore::stats() const {
   return stats;
 }
 
-void ArtifactStore::Touch(
-    Shard& shard, std::unordered_map<std::string, Slot>::iterator it) {
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-}
-
-std::atomic<uint64_t>& ArtifactStore::CountFor(const Slot& slot) {
-  if (slot.artifact != nullptr) return artifact_count_;
-  if (slot.program != nullptr) return program_count_;
-  if (slot.state != nullptr) return state_count_;
-  return result_count_;
+std::atomic<uint64_t>& ArtifactStore::CountFor(const std::string& slot_key) {
+  switch (slot_key[0]) {
+    case 'a':
+      return artifact_count_;
+    case 'p':
+      return program_count_;
+    case 's':
+      return state_count_;
+    default:
+      return result_count_;
+  }
 }
 
 void ArtifactStore::EraseSlot(
-    Shard& shard, std::unordered_map<std::string, Slot>::iterator it) {
-  shard.used_bytes -= it->second.bytes;
-  used_bytes_total_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
-  CountFor(it->second).fetch_sub(1, std::memory_order_relaxed);
-  shard.lru.erase(it->second.lru_it);
-  shard.slots.erase(it);
+    std::unordered_map<std::string, Slot>::iterator it, Dropped& dropped) {
+  used_bytes_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
+  CountFor(it->first).fetch_sub(1, std::memory_order_relaxed);
+  dropped.push_back(std::move(it->second.value));
+  lru_.erase(it->second.lru_it);
+  slots_.erase(it);
 }
 
-void ArtifactStore::EraseKey(const std::string& slot_key) {
-  Shard& shard = ShardFor(slot_key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.slots.find(slot_key);
-  if (it != shard.slots.end()) EraseSlot(shard, it);
-}
-
-void ArtifactStore::InsertSlot(const std::string& slot_key, Slot slot) {
-  Shard& shard = ShardFor(slot_key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.slots.find(slot_key);
-  if (it != shard.slots.end()) EraseSlot(shard, it);
-  shard.lru.push_front(slot_key);
-  slot.lru_it = shard.lru.begin();
-  shard.used_bytes += slot.bytes;
-  used_bytes_total_.fetch_add(slot.bytes, std::memory_order_relaxed);
-  CountFor(slot).fetch_add(1, std::memory_order_relaxed);
-  shard.slots.emplace(slot_key, std::move(slot));
-  EvictToBudget(shard);
-}
-
-void ArtifactStore::EvictToBudget(Shard& shard) {
-  while (shard.used_bytes > shard.byte_budget && shard.slots.size() > 1) {
-    EraseSlot(shard, shard.slots.find(shard.lru.back()));
+void ArtifactStore::Publish(const std::string& slot_key, Slot slot,
+                            const std::vector<std::string>& superseded) {
+  // Declared before the lock, so the dropped values are destroyed after it
+  // is released: a replaced view or DP state can take long to free.
+  Dropped dropped;
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = slots_.find(slot_key);
+  if (it != slots_.end()) EraseSlot(it, dropped);
+  for (const std::string& old_key : superseded) {
+    auto old = slots_.find(old_key);
+    if (old != slots_.end()) EraseSlot(old, dropped);
+  }
+  used_bytes_.fetch_add(slot.bytes, std::memory_order_relaxed);
+  CountFor(slot_key).fetch_add(1, std::memory_order_relaxed);
+  lru_.push_front(slot_key);
+  slot.lru_it = lru_.begin();
+  slots_.emplace(slot_key, std::move(slot));
+  // The entry just published is never evicted, so a budget smaller than
+  // one artifact still serves that artifact.
+  while (used_bytes_.load(std::memory_order_relaxed) > byte_budget_ &&
+         slots_.size() > 1) {
+    EraseSlot(slots_.find(lru_.back()), dropped);
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 }

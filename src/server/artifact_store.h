@@ -27,10 +27,9 @@ namespace provabs {
 /// A named, immutable-after-load provenance artifact resident in the server:
 /// the deserialized polynomial set, the abstraction forests defined over it,
 /// and the VariableTable both share (compression requires polynomials and
-/// forest to agree on ids). The raw forest buffers are retained so a later
-/// forest-only load can rebuild the bundle into a fresh table; that rare
-/// load serializes the current polynomials instead of every Append keeping
-/// a serialized copy of the whole set.
+/// forest to agree on ids). A forest-only load rebuilds the bundle into a
+/// fresh table by serializing the current polynomials and forests, so no
+/// raw buffer is kept beside them.
 ///
 /// Artifacts are exposed as `shared_ptr<const Artifact>`: once handed out
 /// they are never mutated, so concurrent request threads may read them
@@ -46,7 +45,6 @@ struct Artifact {
   std::shared_ptr<VariableTable> vars;
   PolynomialSet polys;
   std::map<std::string, AbstractionForest> forests;
-  std::map<std::string, std::string> forest_bytes;
   size_t approx_bytes = 0;
 
   /// One predecessor generation this artifact's polynomials grew from by
@@ -92,34 +90,23 @@ size_t ApproxPolynomialSetBytes(const PolynomialSet& polys);
 /// cached — the heart of the paper's "compress once, evaluate
 /// interactively" deployment story.
 ///
-/// The cache is sharded: slot keys hash to one of `shards` independent
-/// (mutex, map, recency list) triples, so concurrent requests for distinct
-/// keys usually take different locks (keys hashing into the same shard
-/// still share one — sharding reduces contention, it cannot eliminate it). Each shard owns an equal fraction of the
-/// byte budget and evicts its own least-recently-used entries; a shard's
-/// most recent entry is never evicted, so a budget smaller than one
-/// artifact still serves that artifact (it just caches nothing else). The
-/// static slicing trades capacity precision for lock independence: the
-/// worst-case overshoot is `shards` oversized most-recent entries (the
-/// global LRU's bound times the shard count), and keys hashing unevenly
-/// see less usable budget than the configured total. Deployments that care
-/// more about the byte bound than about lock contention can construct with
-/// `shards = 1` and get the old global-LRU behavior exactly. All methods
-/// are thread-safe.
+/// All entries share one recency list and one byte budget under one mutex.
+/// An insert evicts least-recently-used entries until the store fits its
+/// budget again; the most recent entry is never evicted, so a budget
+/// smaller than one artifact still serves that artifact (it just caches
+/// nothing else). The lock covers only map and list bookkeeping: values
+/// are built before an insert takes it and destroyed after an erase
+/// releases it. All methods are thread-safe.
 ///
-/// On top of the cache sits a single-flight layer (`GetOrCompute`): the
-/// first request for an uncached key runs the compute function, concurrent
-/// identical requests wait for that run's outcome, and only *completed*
-/// results are ever published to the cache — a failed computation returns
-/// its Status to everyone waiting and leaves no trace.
+/// On top of the cache sits a single-flight layer (`GetOrCompute`,
+/// `GetOrBuildView`, `GetOrComputeState`): the first request for an
+/// uncached key runs the compute function, concurrent identical requests
+/// wait for that run's outcome, and only *completed* values are ever
+/// published to the cache — a failed computation returns its Status to
+/// everyone waiting and leaves no trace.
 class ArtifactStore {
  public:
-  /// Shard count used when the constructor argument is 0. Eight shards keep
-  /// lock contention negligible for tens of connection threads without
-  /// fragmenting small byte budgets into uselessly tiny slices.
-  static constexpr size_t kDefaultShards = 8;
-
-  explicit ArtifactStore(size_t byte_budget, size_t shards = 0);
+  explicit ArtifactStore(size_t byte_budget);
 
   ArtifactStore(const ArtifactStore&) = delete;
   ArtifactStore& operator=(const ArtifactStore&) = delete;
@@ -325,86 +312,76 @@ class ArtifactStore {
   const InflightRegistry& inflight() const { return inflight_; }
 
  private:
-  /// Cache slots are keyed by a tag byte + encoded identity so artifact,
-  /// result, program and state entries share one map and one recency list
-  /// per shard.
+  /// One cached value. A slot key is a tag byte naming the kind ('a'
+  /// artifact, 'r' result, 'p' program, 's' state) followed by the encoded
+  /// identity, so all four kinds share one map and one recency list; the
+  /// tag also says what `value` points to.
   struct Slot {
-    std::shared_ptr<const Artifact> artifact;  // exactly one of these
-    std::shared_ptr<const CompressedResult> result;  // four is non-null
-    std::shared_ptr<const scenario::ScenarioProgram> program;
-    DpState state;
+    Slot(std::shared_ptr<const void> v, size_t b)
+        : value(std::move(v)), bytes(b) {}
+    std::shared_ptr<const void> value;
     size_t bytes = 0;
     std::list<std::string>::iterator lru_it;
   };
-
-  /// One independently locked cache partition.
-  struct Shard {
-    mutable std::mutex mutex;
-    std::list<std::string> lru;  // front = most recently used slot key
-    std::unordered_map<std::string, Slot> slots;
-    size_t byte_budget = 0;
-    size_t used_bytes = 0;
-  };
+  /// Values an insert replaced, erased or evicted, destroyed only after
+  /// the mutex is released.
+  using Dropped = std::vector<std::shared_ptr<const void>>;
 
   static std::string ArtifactSlotKey(const std::string& name);
   static std::string ResultSlotKey(const ResultKey& key);
   static std::string ProgramSlotKey(const ProgramKey& key);
   static std::string StateSlotKey(const StateKey& key);
 
-  Shard& ShardFor(const std::string& slot_key);
+  /// The per-kind entry count a slot key's tag contributes to.
+  std::atomic<uint64_t>& CountFor(const std::string& slot_key);
 
-  /// The per-kind count a slot contributes to (artifact_count_,
-  /// result_count_, program_count_, or state_count_).
-  std::atomic<uint64_t>& CountFor(const Slot& slot);
+  /// The one lookup: the value at `slot_key` (refreshing its recency), or
+  /// null. `T` is the type the key's tag names. Counts a found key in
+  /// `*hits` and a missing one in `*misses` where those are given.
+  template <typename T>
+  std::shared_ptr<const T> Lookup(const std::string& slot_key,
+                                  std::atomic<uint64_t>* hits = nullptr,
+                                  std::atomic<uint64_t>* misses = nullptr);
 
-  /// What the hit/miss counters should record for one lookup.
-  /// GetOrCompute's post-claim re-check counts a hit (its response reports
-  /// cache_hit=true, and the cumulative counters on the same envelope must
-  /// agree) but never a miss (the caller's original lookup already
-  /// recorded that miss).
-  enum class CountMode { kHitsAndMisses, kHitsOnly, kNone };
+  /// Installs `slot` at `slot_key` (replacing any entry there), erases the
+  /// entries at `superseded`, and evicts down to the budget.
+  void Publish(const std::string& slot_key, Slot slot,
+               const std::vector<std::string>& superseded = {});
 
-  /// Result lookup by pre-encoded slot key; the public LookupResult and
-  /// GetOrCompute share it so a cold fill encodes the key only once.
-  std::shared_ptr<const CompressedResult> LookupSlot(
-      const std::string& slot_key, CountMode mode);
-  std::shared_ptr<const CompressedResult> InsertResultSlot(
-      const std::string& slot_key, CompressedResult result);
+  /// The single-flight fill behind the three GetOr* methods. Returns the
+  /// value cached at `slot_key` if `accept` takes it. Otherwise claims
+  /// `flight_key` and re-checks, then publishes what `make` builds from the
+  /// rejected value (null when none is cached) and erases the slot keys
+  /// `superseded()` returns. A waiter handed a value it cannot accept goes
+  /// round again. With `count_results`, the first lookup counts a result
+  /// hit or miss and the re-check only a hit (the caller's miss is already
+  /// counted).
+  template <typename T, typename AcceptFn, typename MakeFn,
+            typename SupersededFn>
+  StatusOr<std::shared_ptr<const T>> Fill(
+      const std::string& slot_key, const std::string& flight_key,
+      bool count_results, const AcceptFn& accept, const MakeFn& make,
+      const SupersededFn& superseded, GetOrComputeInfo* info);
 
-  /// Moves `it`'s slot to the front of the shard's recency list. Requires
-  /// shard.mutex.
-  static void Touch(Shard& shard,
-                    std::unordered_map<std::string, Slot>::iterator it);
-  /// Installs/replaces a slot under its shard's lock and evicts the shard
-  /// down to its budget.
-  void InsertSlot(const std::string& slot_key, Slot slot);
-  /// Drops the slot at `slot_key`, if any, under its shard's lock.
-  void EraseKey(const std::string& slot_key);
-  /// PeekState by pre-encoded slot key.
-  DpState StateAt(const std::string& slot_key);
-  /// Drops `it`'s slot and its byte and count charges. Requires
-  /// shard.mutex.
-  void EraseSlot(Shard& shard,
-                 std::unordered_map<std::string, Slot>::iterator it);
-  /// Evicts the shard's LRU entries until within budget (keeping ≥1
-  /// entry). Requires shard.mutex.
-  void EvictToBudget(Shard& shard);
+  /// Moves `it`'s value into `dropped` and drops the slot with its byte
+  /// and count charges. Requires mutex_.
+  void EraseSlot(std::unordered_map<std::string, Slot>::iterator it,
+                 Dropped& dropped);
 
   /// Serializes whole Load() cycles (read existing → deserialize → install)
   /// so concurrent loads of one artifact cannot lose each other's forest
-  /// merges. Distinct from the shard mutexes on purpose: deserialization is
-  /// slow, and Get/LookupResult traffic must not stall behind it.
+  /// merges. Distinct from mutex_ on purpose: deserialization is slow, and
+  /// Get/LookupResult traffic must not stall behind it.
   std::mutex load_mutex_;
+  /// Guards slots_ and lru_.
+  std::mutex mutex_;
+  std::list<std::string> lru_;  // front = most recently used slot key
+  std::unordered_map<std::string, Slot> slots_;
   const size_t byte_budget_;
-  std::vector<Shard> shards_;
   InflightRegistry inflight_;
-  // Store-wide counters are plain atomics (not per-shard fields) so stats()
-  // — which runs on every response — reads them without taking a single
-  // shard lock, and so TSan-clean increments never require widening a
-  // critical section. `used_bytes_total_` mirrors the sum of the shards'
-  // `used_bytes` (each shard's own field, guarded by its mutex, stays
-  // authoritative for eviction decisions).
-  std::atomic<uint64_t> used_bytes_total_{0};
+  // Counters are atomics so that stats(), which runs on every response,
+  // reads them without the lock. used_bytes_ changes only under mutex_.
+  std::atomic<uint64_t> used_bytes_{0};
   std::atomic<uint64_t> artifact_count_{0};
   std::atomic<uint64_t> result_count_{0};
   std::atomic<uint64_t> next_generation_{1};

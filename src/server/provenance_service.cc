@@ -72,7 +72,7 @@ Status CheckBackend(const std::string& name) {
 }  // namespace
 
 ProvenanceService::ProvenanceService(const ServiceOptions& options)
-    : store_(options.cache_bytes, options.cache_shards),
+    : store_(options.cache_bytes),
       pool_(options.eval_threads != 0
                 ? options.eval_threads
                 : static_cast<size_t>(std::thread::hardware_concurrency())),

@@ -23,8 +23,6 @@ struct ServiceOptions {
   /// EvaluateBatcher::kSplitWork is split across; smaller evaluations run
   /// on the request's own thread. 0 = hardware concurrency.
   size_t eval_threads = 0;
-  /// Cache shards (independent mutex + LRU partitions); 0 = store default.
-  size_t cache_shards = 0;
   /// Upper bound on the scenarios a single EvaluateScenarioProgram request
   /// may expand to. A family's size is known after compilation and before
   /// any expansion, so an oversized program is rejected without

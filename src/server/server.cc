@@ -142,9 +142,9 @@ Status Server::Start() {
   }
 
   if (options_.idle_timeout_ms > 0) {
-    wheel_tick_ms_ = std::min<uint64_t>(
+    idle_tick_ms_ = std::min<uint64_t>(
         std::max<uint64_t>(options_.idle_timeout_ms / 8, 10), 1000);
-    wheel_last_tick_ = NowMs() / wheel_tick_ms_;
+    last_idle_tick_ = NowMs() / idle_tick_ms_;
   }
 
   size_t workers = options_.worker_threads != 0
@@ -195,8 +195,8 @@ void Server::Loop() {
       timeout = drain_deadline_ms_ > now
                     ? static_cast<int>(drain_deadline_ms_ - now)
                     : 0;
-    } else if (wheel_tick_ms_ > 0 && !conns_.empty()) {
-      timeout = static_cast<int>(wheel_tick_ms_);
+    } else if (idle_tick_ms_ > 0 && !conns_.empty()) {
+      timeout = static_cast<int>(idle_tick_ms_);
     }
     int n = ::epoll_wait(epoll_fd_, events.data(),
                          static_cast<int>(events.size()), timeout);
@@ -220,7 +220,7 @@ void Server::Loop() {
     }
     ProcessCompletions(now);
     if (shutting_down_.load() && !draining_) BeginDrain(now);
-    WheelAdvance(now);
+    ReapIdle(now);
     if (draining_) {
       if (conns_.empty()) break;
       if (now >= drain_deadline_ms_) break;  // drain budget exhausted
@@ -301,7 +301,7 @@ void Server::AcceptAll(uint64_t now_ms) {
     auto it = conns_.emplace(id, std::move(conn)).first;
     ++admitted_;
     active_connections_.fetch_add(1, std::memory_order_relaxed);
-    WheelInsert(it->second, now_ms);
+    ArmIdleDeadline(it->second, now_ms);
   }
 }
 
@@ -323,7 +323,7 @@ void Server::RejectConnection(int fd, uint64_t now_ms,
     return;
   }
   auto it = conns_.emplace(id, std::move(conn)).first;
-  WheelInsert(it->second, now_ms);
+  ArmIdleDeadline(it->second, now_ms);
   if (!FlushWrites(it->second)) return;
   MaybeCloseFlushed(it->second);
 }
@@ -371,7 +371,7 @@ bool Server::ReadAvailable(Conn& conn, uint64_t now_ms) {
       CloseConn(conn.id);
       return false;
     }
-    if (got_bytes) WheelInsert(conn, now_ms);
+    if (got_bytes) ArmIdleDeadline(conn, now_ms);
     DispatchNext(conn);
   }
   if (conn.eof) {
@@ -428,7 +428,7 @@ void Server::ProcessCompletions(uint64_t now_ms) {
     conn.in_flight = false;
     QueueFrame(conn, c.reply);
     if (c.shutdown) conn.close_after_flush = true;
-    WheelInsert(conn, now_ms);
+    ArmIdleDeadline(conn, now_ms);
     if (!FlushWrites(conn)) continue;
     DispatchNext(conn);
     MaybeCloseFlushed(conn);
@@ -496,59 +496,35 @@ void Server::CloseConn(uint64_t id) {
     --admitted_;
     active_connections_.fetch_sub(1, std::memory_order_relaxed);
   }
-  conns_.erase(it);  // Stale wheel entries are skipped lazily.
+  conns_.erase(it);
 }
 
-void Server::WheelInsert(Conn& conn, uint64_t now_ms) {
-  if (wheel_tick_ms_ == 0) return;
+void Server::ArmIdleDeadline(Conn& conn, uint64_t now_ms) {
+  if (idle_tick_ms_ == 0) return;
   // Rejected connections only wait for the peer to read the error frame;
   // give them a short leash independent of the configured idle budget.
   uint64_t budget = conn.rejected
                         ? std::min<uint64_t>(options_.idle_timeout_ms, 5000)
                         : options_.idle_timeout_ms;
   conn.idle_deadline_ms = now_ms + budget;
-  size_t bucket =
-      static_cast<size_t>((conn.idle_deadline_ms / wheel_tick_ms_) %
-                          kWheelBuckets);
-  wheel_[bucket].push_back(conn.id);
 }
 
-void Server::WheelAdvance(uint64_t now_ms) {
-  if (wheel_tick_ms_ == 0) return;
-  uint64_t cur = now_ms / wheel_tick_ms_;
-  if (cur <= wheel_last_tick_) return;
-  uint64_t steps = cur - wheel_last_tick_;
-  // After a long quiet stretch one revolution visits every bucket; any
-  // expired entry is found because expiry checks absolute deadlines.
-  if (steps > kWheelBuckets) steps = kWheelBuckets;
-  for (uint64_t s = 1; s <= steps; ++s) {
-    size_t bucket = static_cast<size_t>((wheel_last_tick_ + s) %
-                                        kWheelBuckets);
-    std::vector<uint64_t> ids;
-    ids.swap(wheel_[bucket]);
-    for (uint64_t id : ids) {
-      auto it = conns_.find(id);
-      if (it == conns_.end()) continue;  // Closed since scheduling: stale.
-      Conn& conn = it->second;
-      if (conn.idle_deadline_ms > now_ms) {
-        // Activity pushed the deadline out; re-home to its current slot,
-        // but never to the slot being swept now (a deadline later in this
-        // tick), which the wheel would not visit for another revolution.
-        uint64_t due =
-            std::max(conn.idle_deadline_ms / wheel_tick_ms_, cur + 1);
-        wheel_[static_cast<size_t>(due % kWheelBuckets)].push_back(id);
-        continue;
-      }
-      if (conn.in_flight) {
-        // A request is still executing; not idle. Check again next lap.
-        wheel_[bucket].push_back(id);
-        continue;
-      }
+void Server::ReapIdle(uint64_t now_ms) {
+  if (idle_tick_ms_ == 0) return;
+  const uint64_t tick = now_ms / idle_tick_ms_;
+  if (tick <= last_idle_tick_) return;
+  last_idle_tick_ = tick;
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    const uint64_t id = it->first;
+    // A connection whose request is still executing is not idle.
+    const bool idle =
+        it->second.idle_deadline_ms <= now_ms && !it->second.in_flight;
+    ++it;  // CloseConn invalidates only the closed connection's iterator.
+    if (idle) {
       idle_reaped_.fetch_add(1, std::memory_order_relaxed);
       CloseConn(id);
     }
   }
-  wheel_last_tick_ = cur;
 }
 
 void Server::BeginDrain(uint64_t now_ms) {

@@ -1,7 +1,6 @@
 #ifndef PROVABS_SERVER_SERVER_H_
 #define PROVABS_SERVER_SERVER_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -28,7 +27,7 @@ struct ServerOptions {
   /// kUnavailable response and is closed instead of being served.
   size_t max_connections = 1024;
   /// A connection with no completed request activity for this long is
-  /// closed by the timer wheel. 0 disables idle reaping.
+  /// closed by the idle sweep. 0 disables idle reaping.
   uint64_t idle_timeout_ms = 300000;
   /// On shutdown the server stops accepting, finishes in-flight requests
   /// and flushes their responses, but force-closes everything after this
@@ -50,6 +49,12 @@ struct ServerOptions {
 /// descriptors and zero threads: the process runs exactly 1 loop thread +
 /// `worker_threads` workers regardless of connection count.
 ///
+/// Idle reaping is a sweep: every connection carries its idle deadline, and
+/// each loop tick (idle_timeout_ms / 8, clamped to [10 ms, 1 s]) scans the
+/// connections and closes those past it with no request in flight. At
+/// 1,024 connections and the shortest tick that is about 100k comparisons
+/// a second.
+///
 /// The service owns all state; the server owns only sockets and threads,
 /// so unit tests can exercise the service without any of this file.
 class Server {
@@ -59,7 +64,7 @@ class Server {
   struct TransportStats {
     uint64_t active_connections = 0;   ///< gauge of admitted connections
     uint64_t rejected_connections = 0; ///< admission + fd-exhaustion rejects
-    uint64_t idle_reaped = 0;          ///< closes by the idle timer wheel
+    uint64_t idle_reaped = 0;          ///< closes by the idle sweep
     uint64_t loop_wakeups = 0;         ///< epoll_wait returns
   };
 
@@ -143,9 +148,11 @@ class Server {
   void MaybeCloseFlushed(Conn& conn);
   void UpdateEpollOut(Conn& conn, bool want);
 
-  // -- idle timer wheel --------------------------------------------------
-  void WheelInsert(Conn& conn, uint64_t now_ms);
-  void WheelAdvance(uint64_t now_ms);
+  /// Pushes the connection's idle deadline out from `now_ms`.
+  void ArmIdleDeadline(Conn& conn, uint64_t now_ms);
+  /// Once per tick, closes every connection past its idle deadline with no
+  /// request in flight.
+  void ReapIdle(uint64_t now_ms);
 
   void BeginDrain(uint64_t now_ms);
   void WakeLoop();
@@ -177,10 +184,8 @@ class Server {
   size_t admitted_ = 0;
   bool draining_ = false;
   uint64_t drain_deadline_ms_ = 0;
-  static constexpr size_t kWheelBuckets = 256;
-  std::array<std::vector<uint64_t>, kWheelBuckets> wheel_;
-  uint64_t wheel_tick_ms_ = 0;
-  uint64_t wheel_last_tick_ = 0;
+  uint64_t idle_tick_ms_ = 0;  // 0 = idle reaping disabled
+  uint64_t last_idle_tick_ = 0;
 
   std::atomic<uint64_t> active_connections_{0};
   std::atomic<uint64_t> rejected_connections_{0};

@@ -270,7 +270,7 @@ struct ServerStats {
   /// without a socket front end, e.g. in unit tests). `active_connections`
   /// is a gauge of admitted connections; `rejected_connections` counts
   /// admission rejections (connection limit, fd exhaustion, drain);
-  /// `idle_reaped` counts connections the timer wheel closed for idling
+  /// `idle_reaped` counts connections the idle sweep closed for idling
   /// past ServerOptions::idle_timeout_ms; `loop_wakeups` counts event-loop
   /// iterations (epoll_wait returns) — cumulative except the gauge.
   uint64_t active_connections = 0;

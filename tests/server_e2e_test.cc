@@ -313,7 +313,7 @@ TEST(ServerLifecycleTest, IdleConnectionsConsumeNoExtraThreads) {
   server.Wait();
 }
 
-/// A connection that goes silent is closed by the timer wheel within
+/// A connection that goes silent is closed by the idle sweep within
 /// 2 x idle_timeout_ms (the e2e acceptance bound).
 TEST(ServerLifecycleTest, IdleClientReapedWithinTwiceTimeout) {
   ProvenanceService service;
@@ -344,7 +344,7 @@ TEST(ServerLifecycleTest, IdleClientReapedWithinTwiceTimeout) {
 
 /// Another client's traffic wakes the loop often, so some wakeup lands in
 /// the idle connection's deadline tick just before its deadline; the reap
-/// must still happen on time, not one wheel revolution (256 ticks) later.
+/// must still happen on time, at the next tick after the deadline.
 TEST(ServerLifecycleTest, IdleClientReapedWhileAnotherClientIsBusy) {
   ProvenanceService service;
   ServerOptions options;

@@ -95,6 +95,35 @@ TEST_F(StoreTest, ForestOnlyLoadMergesAndBumpsGeneration) {
                 .status()
                 .code(),
             StatusCode::kNotFound);
+
+  // The forest-only load re-serialized "plans" from the artifact. A
+  // compress over it is field-identical to one over a fresh load of the
+  // same bytes, and so is one over the newly loaded "months".
+  auto fresh = store.Load("fresh", polys_bytes_,
+                          {{"plans", plans_bytes_}, {"months", months_bytes_}});
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  for (const std::string name : {"plans", "months"}) {
+    const AbstractionForest* rebuilt = (*second)->FindForest(name);
+    const AbstractionForest* loaded = (*fresh)->FindForest(name);
+    ASSERT_NE(rebuilt, nullptr);
+    ASSERT_NE(loaded, nullptr);
+    for (size_t bound = polys_.SizeM(); bound > 0; --bound) {
+      SCOPED_TRACE(name + " bound " + std::to_string(bound));
+      auto a = OptimalSingleTree((*second)->polys, *rebuilt, 0, bound);
+      auto b = OptimalSingleTree((*fresh)->polys, *loaded, 0, bound);
+      ASSERT_EQ(a.status().code(), b.status().code());
+      if (!a.ok()) continue;
+      EXPECT_EQ(a->loss.monomial_loss, b->loss.monomial_loss);
+      EXPECT_EQ(a->loss.variable_loss, b->loss.variable_loss);
+      EXPECT_EQ(a->adequate, b->adequate);
+      EXPECT_EQ(a->Describe(*rebuilt, *(*second)->vars),
+                b->Describe(*loaded, *(*fresh)->vars));
+      EXPECT_EQ(SerializePolynomialSet(a->Apply(*rebuilt, (*second)->polys),
+                                       *(*second)->vars),
+                SerializePolynomialSet(b->Apply(*loaded, (*fresh)->polys),
+                                       *(*fresh)->vars));
+    }
+  }
 }
 
 TEST_F(StoreTest, ResultCacheCountsHitsAndMisses) {
@@ -125,10 +154,7 @@ TEST_F(StoreTest, ResultCacheCountsHitsAndMisses) {
 
 TEST_F(StoreTest, LruEvictsUnderByteBudget) {
   // Budget fits roughly one artifact: loading a second evicts the first.
-  // One shard, so both names share a budget and a recency list (with the
-  // default sharding each name would own its own slice and both survive).
-  ArtifactStore tiny(ApproxPolynomialSetBytes(polys_) + polys_bytes_.size(),
-                     /*shards=*/1);
+  ArtifactStore tiny(ApproxPolynomialSetBytes(polys_) + polys_bytes_.size());
   ASSERT_TRUE(tiny.Load("a", polys_bytes_, {}).ok());
   ASSERT_TRUE(tiny.Load("b", polys_bytes_, {}).ok());
   EXPECT_GT(tiny.stats().evictions, 0u);
@@ -137,10 +163,9 @@ TEST_F(StoreTest, LruEvictsUnderByteBudget) {
   EXPECT_NE(tiny.Get("b"), nullptr);
 }
 
-TEST_F(StoreTest, ShardedStoreServesAllShards) {
-  // With many shards, entries land in per-shard partitions but the store
-  // behaves as one cache: all loads visible, stats aggregate across shards.
-  ArtifactStore store(64 << 20, /*shards=*/8);
+TEST_F(StoreTest, ManyArtifactsAllStayVisible) {
+  // Sixteen loads well under the budget: all visible, stats count each.
+  ArtifactStore store(64 << 20);
   for (int i = 0; i < 16; ++i) {
     ASSERT_TRUE(
         store.Load("art" + std::to_string(i), polys_bytes_, {}).ok());
@@ -192,6 +217,31 @@ TEST_F(StoreTest, GetOrComputePublishesOnlyCompletedResults) {
   EXPECT_TRUE(info.cache_hit);
   EXPECT_EQ((*hit)->loss.monomial_loss, 5u);
   EXPECT_EQ(runs, 2);
+}
+
+TEST_F(StoreTest, DerivedInsertsNeverEvictTheLoadedArtifact) {
+  ArtifactStore probe(1 << 20);
+  auto probed = probe.Load("ex", polys_bytes_, {{"plans", plans_bytes_}});
+  ASSERT_TRUE(probed.ok());
+  const size_t artifact_bytes = (*probed)->approx_bytes;
+
+  // Room for the artifact beside about 28 results of a quarter of its
+  // size. The 64 results overflow the budget, and each Get makes the
+  // artifact the most recent entry again, so inserts evict only results. A
+  // budget split into eight slices would give the artifact's slice exactly
+  // its size, and the first result landing there would evict it.
+  ArtifactStore store(8 * artifact_bytes);
+  auto loaded = store.Load("ex", polys_bytes_, {{"plans", plans_bytes_}});
+  ASSERT_TRUE(loaded.ok());
+  for (uint64_t bound = 1; bound <= 64; ++bound) {
+    ArtifactStore::CompressedResult result;
+    result.vvs_names.assign(artifact_bytes / 4, 'x');
+    store.InsertResult({"ex", (*loaded)->generation, "plans", bound, "opt"},
+                       result);
+    ASSERT_NE(store.Get("ex"), nullptr) << "evicted by result " << bound;
+  }
+  EXPECT_GT(store.stats().evictions, 0u);
+  EXPECT_LE(store.stats().cached_bytes, 8 * artifact_bytes);
 }
 
 TEST_F(StoreTest, BudgetSmallerThanOneArtifactStillServesIt) {
@@ -1268,6 +1318,76 @@ TEST_F(RequeryServiceTest, TradeoffReadsTheGenerationState) {
   EXPECT_EQ(dp_runs_.load(), 2);
   ASSERT_TRUE(service_->Tradeoff(req).ok());
   EXPECT_EQ(dp_runs_.load(), 2);
+}
+
+/// compress-cold's traffic shape on a budget of eight times the artifact's
+/// charged bytes: compresses at distinct bounds (one cached result each,
+/// all queried from one DP state), with a compressed evaluate at every
+/// eighth bound building its view. Derived entries overflow the budget,
+/// and the loaded artifact must survive every insert: no request may see
+/// NotFound.
+TEST(StoreBudgetServiceTest, DistinctBoundCompressesKeepTheArtifact) {
+  TelephonyConfig config;
+  config.num_customers = 200;
+  config.num_plans = 16;
+  config.num_months = 4;
+  config.num_zip_codes = 6;
+  Rng rng(2026);
+  VariableTable vars;
+  TelephonyVars tv = MakeTelephonyVars(vars, config);
+  PolynomialSet polys = RunTelephonyQuery(GenerateTelephony(config, rng), tv);
+  AbstractionForest forest;
+  forest.AddTree(BuildUniformTree(vars, tv.plan_vars, {4, 4}, "CMP_"));
+  LoadRequest load;
+  load.artifact = "a";
+  load.polys_bytes = SerializePolynomialSet(polys, vars);
+  load.forests = {{"default", SerializeForest(forest, vars)}};
+
+  size_t artifact_bytes = 0;
+  {
+    ProvenanceService probe;
+    ASSERT_TRUE(probe.Load(load).ok());
+    artifact_bytes = probe.store().Get("a")->approx_bytes;
+  }
+  ServiceOptions options;
+  options.cache_bytes = 8 * artifact_bytes;
+  options.eval_threads = 2;
+  ProvenanceService service(options);
+  ASSERT_TRUE(service.Load(load).ok());
+
+  const size_t size_m = polys.SizeM();
+  CompressRequest compress;
+  compress.artifact = "a";
+  // The loosest bound first, as compress-cold's warm-up does; a tighter
+  // bound then rebuilds the state at |P|_M.
+  compress.bound = size_m - 1;
+  ASSERT_TRUE(service.Compress(compress).ok());
+  size_t served = 0;
+  for (size_t i = 0; i < 96; ++i) {
+    const size_t bound = size_m - 2 - i * (size_m / 2) / 96;
+    SCOPED_TRACE("request " + std::to_string(i) + " bound " +
+                 std::to_string(bound));
+    Response resp;
+    if (i % 8 == 0) {
+      EvaluateRequest eval;
+      eval.artifact = "a";
+      eval.compressed = true;
+      eval.bound = bound;
+      resp = service.Evaluate(eval);
+    } else {
+      compress.bound = bound;
+      resp = service.Compress(compress);
+    }
+    ASSERT_NE(resp.code, StatusCode::kNotFound) << resp.message;
+    ASSERT_TRUE(resp.ok() || resp.code == StatusCode::kInfeasible)
+        << resp.message;
+    served += resp.ok();
+  }
+  EXPECT_GT(served, 48u);
+  ArtifactStore::Stats stats = service.store().stats();
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_EQ(stats.artifact_count, 1u);
+  EXPECT_LE(stats.cached_bytes, 8 * artifact_bytes);
 }
 
 /// |P↓S|_M = |P|_M − ML for every algorithm, so a compress reports the
