@@ -55,14 +55,29 @@
 ///   ROUTESTAT workload=<w> batch=<n> auto=<name> best=<name>
 ///             best_over_auto=<r>
 ///
-/// where best_over_auto is the fastest backend's time over auto's. It must
-/// not fall below kRoutingFloor: auto-routing may be at most 1.5x slower
-/// than the fastest backend at either width.
+/// where best is the backend with the lowest median time over nine
+/// interleaved rounds, and best_over_auto is the median over the rounds of
+/// best's time over auto's. It must not fall below kRoutingFloor:
+/// auto-routing may be at most 1.5x slower than the fastest backend at
+/// either width.
+///
+/// A fifth, lane arm times simd_batch on the same scenarios as one call of
+/// the batched arm's width (eight-scenario passes, two lane groups each)
+/// and as calls of one lane group each (one-group passes):
+///
+///   LANESTAT workload=<w> batch=<n> group=<g> wide_us=<t> grouped_us=<t>
+///            ratio=<r>
+///
+/// where wide_us and grouped_us are medians over nine interleaved rounds
+/// and ratio is the median over the rounds of grouped_us over wide_us. It
+/// must not fall below kLaneFloor: two independent accumulator chains per
+/// CSR walk must keep paying for themselves.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <map>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -85,9 +100,15 @@ constexpr int kScenarios = 40;
 /// compiled loop. Five smoke-scale runs on a 4-vCPU Xeon VM measured
 /// 3.84-6.91x (simd_batch) and 2.55-4.95x (jit).
 constexpr double kBackendFloor = 1.0;
-/// Same-run floor of ROUTESTAT's best_over_auto. Five smoke-scale and three
-/// full-scale runs on the same VM measured 1.00 on every line.
+/// Same-run floor of ROUTESTAT's best_over_auto. Five smoke-scale and five
+/// full-scale runs per lane implementation on the same VM measured 1.00 on
+/// every line but one: 0.87-0.93 for simd_batch against the jit at width
+/// 40 on the 151-monomial smoke-scale Q10 set with AVX2 lanes.
 constexpr double kRoutingFloor = 0.67;
+/// Same-run floor of LANESTAT's ratio. With one lane group per pass the
+/// ratio read 0.93-1.21 on the same VM, and with two groups per pass
+/// 1.26-1.83, at smoke and full scale with either lane implementation.
+constexpr double kLaneFloor = 1.2;
 
 bool BitwiseEqual(const std::vector<double>& a, const std::vector<double>& b) {
   if (a.size() != b.size()) return false;
@@ -105,44 +126,74 @@ Valuation MakeScenario(const Workload& w, uint64_t seed) {
   return val;
 }
 
+/// The scenarios materialized against one compiled form, with one output
+/// row per scenario: the pointer arrays EvaluateBatch takes.
+struct DenseBatch {
+  DenseBatch(const CompiledPolynomialSet& compiled,
+             const std::vector<Valuation>& scenarios)
+      : out(scenarios.size(), std::vector<double>(compiled.poly_count())) {
+    dense.reserve(scenarios.size());
+    for (const Valuation& val : scenarios) {
+      dense.push_back(compiled.MaterializeValuation(val));
+    }
+    for (size_t s = 0; s < scenarios.size(); ++s) {
+      dense_ptrs.push_back(&dense[s]);
+      out_ptrs.push_back(out[s].data());
+    }
+  }
+  // The pointer arrays point into this object's own vectors.
+  DenseBatch(const DenseBatch&) = delete;
+  DenseBatch& operator=(const DenseBatch&) = delete;
+
+  /// Evaluates scenarios [first, first + count) in one call.
+  Status Run(const EvaluationBackend& backend,
+             const CompiledPolynomialSet& compiled, size_t first,
+             size_t count) {
+    return backend.EvaluateBatch(compiled, 0, compiled.poly_count(),
+                                 dense_ptrs.data() + first,
+                                 out_ptrs.data() + first, count);
+  }
+
+  /// Evaluates every scenario in calls of `width` (the last may be
+  /// narrower); true when every call succeeded.
+  bool RunInCalls(const EvaluationBackend& backend,
+                  const CompiledPolynomialSet& compiled, size_t width) {
+    bool ok = true;
+    for (size_t s = 0; s < dense.size(); s += width) {
+      ok &= Run(backend, compiled, s, std::min(width, dense.size() - s)).ok();
+    }
+    return ok;
+  }
+
+  std::vector<DenseValuation> dense;
+  std::vector<const DenseValuation*> dense_ptrs;
+  std::vector<std::vector<double>> out;
+  std::vector<double*> out_ptrs;
+};
+
 /// The batched arm: the whole scenario batch through each registered
 /// backend in single EvaluateBatch calls, bit-checked against the naive
 /// results. `t_compiled` is the accumulated single-scenario compiled-loop
 /// time over the same scenarios (the ratio's denominator is that loop).
 bool RunBatchedArm(const Workload& w,
-                   const CompiledPolynomialSet& compiled,
-                   const std::vector<Valuation>& scenarios,
+                   const CompiledPolynomialSet& compiled, DenseBatch& batch,
                    const std::vector<std::vector<double>>& naive_results,
                    double t_compiled, bool* floors_hold) {
-  const size_t n = scenarios.size();
-  const size_t poly_count = compiled.poly_count();
-  std::vector<DenseValuation> dense;
-  dense.reserve(n);
-  for (const Valuation& val : scenarios) {
-    dense.push_back(compiled.MaterializeValuation(val));
-  }
-  std::vector<const DenseValuation*> dense_ptrs(n);
-  for (size_t s = 0; s < n; ++s) dense_ptrs[s] = &dense[s];
-  std::vector<std::vector<double>> out(n, std::vector<double>(poly_count));
-  std::vector<double*> out_ptrs(n);
-  for (size_t s = 0; s < n; ++s) out_ptrs[s] = out[s].data();
-
+  const size_t n = batch.dense.size();
   bool all_equal = true;
   constexpr int kReps = 5;
   const EvaluationBackendRegistry& registry =
       EvaluationBackendRegistry::Default();
   for (const std::string& name : registry.Names()) {
     const EvaluationBackend* backend = registry.Find(name);
-    auto batch = [&] {
-      return backend->EvaluateBatch(compiled, 0, poly_count,
-                                    dense_ptrs.data(), out_ptrs.data(), n);
-    };
     // One untimed batch first, so the timed reps are the steady state: the
     // jit emits its code for this snapshot there, and the jit and routing
     // arms leave emission out of their timings too.
-    Status status = batch();
+    Status status = batch.Run(*backend, compiled, 0, n);
     Timer timer;
-    for (int rep = 0; rep < kReps && status.ok(); ++rep) status = batch();
+    for (int rep = 0; rep < kReps && status.ok(); ++rep) {
+      status = batch.Run(*backend, compiled, 0, n);
+    }
     const double seconds = timer.ElapsedSeconds() / kReps;
     if (!status.ok()) {
       std::printf("BATCH ERROR %s/%s: %s\n", w.name.c_str(), name.c_str(),
@@ -150,7 +201,7 @@ bool RunBatchedArm(const Workload& w,
       return false;
     }
     for (size_t s = 0; s < n; ++s) {
-      if (!BitwiseEqual(naive_results[s], out[s])) {
+      if (!BitwiseEqual(naive_results[s], batch.out[s])) {
         std::printf("BATCH MISMATCH in %s backend=%s scenario %zu\n",
                     w.name.c_str(), name.c_str(), s);
         all_equal = false;
@@ -176,16 +227,12 @@ bool RunBatchedArm(const Workload& w,
 /// emission even though the parallel arm already filled the process-wide
 /// cache for this artifact.
 bool RunJitArm(const Workload& w, const CompiledPolynomialSet& compiled,
-               const std::vector<Valuation>& scenarios,
+               const DenseBatch& batch,
                const std::vector<std::vector<double>>& naive_results,
                double t_compiled, bool* floors_hold) {
   const size_t poly_count = compiled.poly_count();
-  const size_t n = scenarios.size();
-  std::vector<DenseValuation> dense;
-  dense.reserve(n);
-  for (const Valuation& val : scenarios) {
-    dense.push_back(compiled.MaterializeValuation(val));
-  }
+  const size_t n = batch.dense.size();
+  const std::vector<DenseValuation>& dense = batch.dense;
   jit::JitCodeCache cache(jit::JitCodeCache::kDefaultByteBudget);
   JitBackend jit(JitBackend::Mode::kAuto, &cache);
   std::vector<double> out(poly_count);
@@ -245,67 +292,128 @@ bool RunJitArm(const Workload& w, const CompiledPolynomialSet& compiled,
   return all_equal;
 }
 
+/// Times every call in `calls` in nine rounds of one sample each, about
+/// 10 ms per sample, after one untimed probe of each call that sets its
+/// repetitions. A burst of host noise then lands in one round, where it
+/// moves one sample of every call, not all samples of one call. Returns
+/// µs per call, samples[round][call].
+std::vector<std::vector<double>> InterleavedSamplesUs(
+    const std::vector<std::function<void()>>& calls) {
+  std::vector<int> reps;
+  for (const std::function<void()>& call : calls) {
+    Timer once;
+    call();
+    const double first_s = std::max(once.ElapsedSeconds(), 1e-7);
+    reps.push_back(static_cast<int>(std::clamp(0.01 / first_s, 1.0, 1e5)));
+  }
+  std::vector<std::vector<double>> samples(9);
+  for (std::vector<double>& round : samples) {
+    for (size_t c = 0; c < calls.size(); ++c) {
+      Timer t;
+      for (int r = 0; r < reps[c]; ++r) calls[c]();
+      round.push_back(t.ElapsedSeconds() * 1e6 / reps[c]);
+    }
+  }
+  return samples;
+}
+
+/// The median over rounds of f(round).
+template <typename F>
+double MedianOverRounds(const std::vector<std::vector<double>>& samples,
+                        F f) {
+  std::vector<double> values;
+  for (const std::vector<double>& round : samples) values.push_back(f(round));
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
 /// The routing arm: at width 1 and at the batched arm's width, every
 /// registered backend against the one auto-routing picks on `compiled`
-/// once that snapshot is past the jit break-even.
+/// once that snapshot is past the jit break-even, timed in interleaved
+/// rounds.
 bool RunRoutingArm(const Workload& w, const CompiledPolynomialSet& compiled,
-                   const std::vector<Valuation>& scenarios,
-                   bool* floors_hold) {
-  const size_t n = scenarios.size();
-  const size_t poly_count = compiled.poly_count();
-  std::vector<DenseValuation> dense;
-  dense.reserve(n);
-  for (const Valuation& val : scenarios) {
-    dense.push_back(compiled.MaterializeValuation(val));
-  }
-  std::vector<const DenseValuation*> dense_ptrs(n);
-  std::vector<std::vector<double>> out(n, std::vector<double>(poly_count));
-  std::vector<double*> out_ptrs(n);
-  for (size_t s = 0; s < n; ++s) {
-    dense_ptrs[s] = &dense[s];
-    out_ptrs[s] = out[s].data();
-  }
+                   DenseBatch& batch, bool* floors_hold) {
+  const size_t n = batch.dense.size();
   compiled.CountInterpretedScenarios(kJitBreakEvenScenarios);
 
   const EvaluationBackendRegistry& registry =
       EvaluationBackendRegistry::Default();
+  const std::vector<std::string> names = registry.Names();
   for (size_t width : {size_t{1}, n}) {
-    std::map<std::string, double> us;
-    for (const std::string& name : registry.Names()) {
+    // Width 1 runs one call per scenario; the first sweep (which emits jit
+    // code) is the untimed probe.
+    bool ok = true;
+    std::vector<std::function<void()>> calls;
+    for (const std::string& name : names) {
       const EvaluationBackend* backend = registry.Find(name);
-      bool ok = true;
-      // Width 1 runs one call per scenario; the first sweep (which emits
-      // jit code) is MedianCallUs' untimed probe.
-      us[name] = MedianCallUs([&] {
-        for (size_t s = 0; s < n; s += width) {
-          ok &= backend->EvaluateBatch(compiled, 0, poly_count,
-                                       dense_ptrs.data() + s,
-                                       out_ptrs.data() + s, width)
-                    .ok();
-        }
-      });
-      if (!ok) {
-        std::printf("ROUTE ERROR %s/%s\n", w.name.c_str(), name.c_str());
-        return false;
-      }
+      calls.push_back(
+          [&, backend] { ok &= batch.RunInCalls(*backend, compiled, width); });
+    }
+    const std::vector<std::vector<double>> samples =
+        InterleavedSamplesUs(calls);
+    if (!ok) {
+      std::printf("ROUTE ERROR %s\n", w.name.c_str());
+      return false;
     }
     StatusOr<const EvaluationBackend*> chosen =
         registry.ResolveForBatch("", width, &compiled);
     if (!chosen.ok()) return false;
-    const std::string& auto_name = (*chosen)->info().name;
-    auto best = us.begin();
-    for (auto it = us.begin(); it != us.end(); ++it) {
-      if (it->second < best->second) best = it;
+    const size_t auto_at =
+        std::find(names.begin(), names.end(), (*chosen)->info().name) -
+        names.begin();
+    size_t best_at = 0;
+    std::vector<double> median_us;
+    for (size_t b = 0; b < names.size(); ++b) {
+      median_us.push_back(MedianOverRounds(
+          samples, [b](const std::vector<double>& round) { return round[b]; }));
+      if (median_us[b] < median_us[best_at]) best_at = b;
     }
-    const double ratio = us[auto_name] > 0 ? best->second / us[auto_name] : 0.0;
+    const double ratio =
+        MedianOverRounds(samples, [&](const std::vector<double>& round) {
+          return round[auto_at] > 0 ? round[best_at] / round[auto_at] : 0.0;
+        });
     std::printf(
         "ROUTESTAT workload=%s batch=%zu auto=%s best=%s "
         "best_over_auto=%.2f\n",
-        w.name.c_str(), width, auto_name.c_str(), best->first.c_str(), ratio);
+        w.name.c_str(), width, names[auto_at].c_str(), names[best_at].c_str(),
+        ratio);
     *floors_hold &= RatioFloorHolds(
         ("routing " + w.name + " batch " + std::to_string(width)).c_str(),
         ratio, kRoutingFloor);
   }
+  return true;
+}
+
+/// The lane arm: simd_batch over the same scenarios as one wide call and
+/// as calls of one lane group each, timed in interleaved rounds.
+bool RunLaneArm(const Workload& w, const CompiledPolynomialSet& compiled,
+                DenseBatch& batch, bool* floors_hold) {
+  const EvaluationBackend* simd =
+      EvaluationBackendRegistry::Default().Find("simd_batch");
+  const size_t n = batch.dense.size();
+  const size_t group = simd->info().preferred_batch;
+  bool ok = true;
+  const std::vector<std::vector<double>> samples = InterleavedSamplesUs(
+      {[&] { ok &= batch.RunInCalls(*simd, compiled, n); },
+       [&] { ok &= batch.RunInCalls(*simd, compiled, group); }});
+  if (!ok) {
+    std::printf("LANE ERROR %s\n", w.name.c_str());
+    return false;
+  }
+  auto column = [&](size_t c) {
+    return MedianOverRounds(
+        samples, [c](const std::vector<double>& round) { return round[c]; });
+  };
+  const double ratio =
+      MedianOverRounds(samples, [](const std::vector<double>& round) {
+        return round[0] > 0 ? round[1] / round[0] : 0.0;
+      });
+  std::printf(
+      "LANESTAT workload=%s batch=%zu group=%zu wide_us=%.3f "
+      "grouped_us=%.3f ratio=%.2f\n",
+      w.name.c_str(), n, group, column(0), column(1), ratio);
+  *floors_hold &=
+      RatioFloorHolds(("lanes " + w.name).c_str(), ratio, kLaneFloor);
   return true;
 }
 
@@ -371,15 +479,17 @@ bool Run() {
                 t_compiled > 0 ? t_naive / t_compiled : 0.0,
                 t_parallel > 0 ? t_naive / t_parallel : 0.0);
 
-    if (!RunJitArm(w, *compiled, scenarios, naive_results, t_compiled,
+    DenseBatch batch(*compiled, scenarios);
+    if (!RunJitArm(w, *compiled, batch, naive_results, t_compiled,
                    &floors_hold)) {
       all_equal = false;
     }
-    if (!RunBatchedArm(w, *compiled, scenarios, naive_results, t_compiled,
+    if (!RunBatchedArm(w, *compiled, batch, naive_results, t_compiled,
                        &floors_hold)) {
       all_equal = false;
     }
-    if (!RunRoutingArm(w, *compiled, scenarios, &floors_hold)) {
+    if (!RunRoutingArm(w, *compiled, batch, &floors_hold) ||
+        !RunLaneArm(w, *compiled, batch, &floors_hold)) {
       all_equal = false;
     }
   }

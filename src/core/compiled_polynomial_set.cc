@@ -25,7 +25,7 @@ CompiledPolynomialSet CompiledPolynomialSet::Extend(
   for (size_t p = first; p < polys.count(); ++p) {
     for (const Monomial& m : polys[p].monomials()) {
       ++monomials;
-      factors += m.factors().size();
+      factors += m.total_degree();
     }
   }
   // The CSR offsets are 32-bit; provenance sets here are far below 4G
@@ -38,7 +38,6 @@ CompiledPolynomialSet CompiledPolynomialSet::Extend(
   out.mono_offsets_.reserve(monomials + 1);
   out.coefficients_.reserve(monomials);
   out.factor_slots_.reserve(factors);
-  out.factor_exps_.reserve(factors);
   if (first == 0) {
     out.poly_offsets_.push_back(0);
     out.mono_offsets_.push_back(0);
@@ -50,7 +49,6 @@ CompiledPolynomialSet CompiledPolynomialSet::Extend(
     append(out.mono_offsets_, prefix.mono_offsets_);
     append(out.coefficients_, prefix.coefficients_);
     append(out.factor_slots_, prefix.factor_slots_);
-    append(out.factor_exps_, prefix.factor_exps_);
     out.slot_vars_ = prefix.slot_vars_;
     out.slot_of_ = prefix.slot_of_;
   }
@@ -63,8 +61,7 @@ CompiledPolynomialSet CompiledPolynomialSet::Extend(
         auto [it, inserted] = out.slot_of_.try_emplace(
             f.var, static_cast<uint32_t>(out.slot_vars_.size()));
         if (inserted) out.slot_vars_.push_back(f.var);
-        out.factor_slots_.push_back(it->second);
-        out.factor_exps_.push_back(f.exp);
+        out.factor_slots_.insert(out.factor_slots_.end(), f.exp, it->second);
       }
       out.mono_offsets_.push_back(
           static_cast<uint32_t>(out.factor_slots_.size()));
@@ -113,7 +110,6 @@ size_t CompiledPolynomialSet::ApproxBytes() const {
   bytes += mono_offsets_.capacity() * sizeof(uint32_t);
   bytes += coefficients_.capacity() * sizeof(double);
   bytes += factor_slots_.capacity() * sizeof(uint32_t);
-  bytes += factor_exps_.capacity() * sizeof(uint32_t);
   bytes += slot_vars_.capacity() * sizeof(VariableId);
   // One hash node (key, slot, next pointer, cached hash) per variable plus
   // the bucket array.

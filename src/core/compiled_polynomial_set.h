@@ -56,9 +56,15 @@ class DenseValuation {
 /// form walks four flat arrays sequentially:
 ///
 ///   poly_offsets_[p] .. poly_offsets_[p+1]   — monomial range of poly p
-///   mono_offsets_[m] .. mono_offsets_[m+1]   — factor range of monomial m
+///   mono_offsets_[m] .. mono_offsets_[m+1]   — slot-entry range of mono m
 ///   coefficients_[m]                          — monomial coefficient
-///   factor_slots_[f], factor_exps_[f]         — dense variable slot + exp
+///   factor_slots_[f]                          — dense variable slot
+///
+/// There is one slot entry per multiplication: a factor x^e is e
+/// consecutive entries holding x's slot, so a monomial's entry count is its
+/// total degree and no kernel loops over exponents. The deserializer caps
+/// monomial degree (kMaxMonomialDegree, io/serializer.h), which keeps the
+/// expansion linear in the bytes loaded.
 ///
 /// Slots are dense indices assigned at compile time in first-appearance
 /// order; `MaterializeValuation` resolves a scenario's hash map into a
@@ -99,7 +105,8 @@ class CompiledPolynomialSet {
     return poly_offsets_.empty() ? 0 : poly_offsets_.size() - 1;
   }
 
-  /// Total monomials (|P|_M) and factors across the set.
+  /// Total monomials (|P|_M) across the set, and slot entries: one per
+  /// multiplication, so the sum of the monomials' total degrees.
   size_t monomial_count() const { return coefficients_.size(); }
   size_t factor_count() const { return factor_slots_.size(); }
 
@@ -132,13 +139,11 @@ class CompiledPolynomialSet {
     const uint32_t* poly_offsets;  ///< size poly_count()+1
     const uint32_t* mono_offsets;  ///< size monomial_count()+1
     const double* coefficients;    ///< per monomial
-    const uint32_t* factor_slots;  ///< per factor
-    const uint32_t* factor_exps;   ///< per factor
+    const uint32_t* factor_slots;  ///< per multiplication
   };
   CsrView csr() const {
     return CsrView{poly_offsets_.data(), mono_offsets_.data(),
-                   coefficients_.data(), factor_slots_.data(),
-                   factor_exps_.data()};
+                   coefficients_.data(), factor_slots_.data()};
   }
 
   /// Resolves `valuation` into a slot-indexed array: one hash probe per
@@ -162,11 +167,7 @@ class CompiledPolynomialSet {
     for (uint32_t m = poly_offsets_[p]; m < poly_offsets_[p + 1]; ++m) {
       double term = coefficients_[m];
       for (uint32_t f = mono_offsets_[m]; f < mono_offsets_[m + 1]; ++f) {
-        const double v = dense[factor_slots_[f]];
-        // Exponents are small (bounded by the query's join arity); repeated
-        // multiplication beats std::pow AND matches the naive path's
-        // operation order exactly.
-        for (uint32_t e = 0; e < factor_exps_[f]; ++e) term *= v;
+        term *= dense[factor_slots_[f]];
       }
       total += term;
     }
@@ -220,8 +221,7 @@ class CompiledPolynomialSet {
   std::vector<uint32_t> poly_offsets_;  // size poly_count()+1
   std::vector<uint32_t> mono_offsets_;  // size monomial_count()+1
   std::vector<double> coefficients_;    // per monomial
-  std::vector<uint32_t> factor_slots_;  // per factor
-  std::vector<uint32_t> factor_exps_;   // per factor
+  std::vector<uint32_t> factor_slots_;  // per multiplication
   std::vector<VariableId> slot_vars_;   // slot -> variable
   std::unordered_map<VariableId, uint32_t> slot_of_;  // variable -> slot
   uint64_t fingerprint_ = 0;            // see fingerprint()

@@ -87,8 +87,7 @@ class NaiveBackend : public EvaluationBackend {
           double term = csr.coefficients[m];
           for (uint32_t f = csr.mono_offsets[m]; f < csr.mono_offsets[m + 1];
                ++f) {
-            const double v = values[csr.factor_slots[f]];
-            for (uint32_t e = 0; e < csr.factor_exps[f]; ++e) term *= v;
+            term *= values[csr.factor_slots[f]];
           }
           total += term;
         }
@@ -126,39 +125,43 @@ class CompiledBackend : public EvaluationBackend {
 
 // ------------------------------------------------- builtin: simd_batch --
 
-/// Lane width of the SoA layout: one AVX2 register of doubles. The scalar
-/// fallback keeps the identical 4-lane structure (and is compiled
-/// unconditionally), so a scalar-forced differential run still covers the
-/// vector path's transpose/lane/remainder logic.
+/// Lanes per group: one AVX2 register of doubles. A pass evaluates up to
+/// kMaxGroups groups (8 scenarios) per walk of the CSR arrays, as
+/// independent accumulator chains: each multiplication of a chain waits on
+/// the one before it, but the two chains' multiplications overlap. The
+/// scalar fallback keeps the identical lane and group structure (and is
+/// compiled unconditionally), so a scalar-forced differential run still
+/// covers the vector path's transpose, group and tail logic.
 constexpr size_t kLaneWidth = 4;
+constexpr size_t kMaxGroups = 2;
 
-/// Evaluates polynomials [poly_begin, poly_end) for one lane group.
-/// `lanes` is the SoA transpose (lanes[slot * kLaneWidth + j] = slot value
-/// of lane j); `outs[j]` receives lane j's values indexed from the range
-/// start; only the first `live` lanes are written (remainder groups pad
-/// with duplicated scenarios whose outputs are discarded).
+/// Evaluates polynomials [poly_begin, poly_end) for one pass of `kGroups`
+/// lane groups. `lanes` is the SoA transpose
+/// (lanes[slot * kGroups * kLaneWidth + j] = slot value of lane j);
+/// `outs[j]` receives lane j's values indexed from the range start; only
+/// the first `live` lanes are written (a partial pass pads with duplicated
+/// scenarios whose outputs are discarded).
 ///
 /// Per lane this performs exactly the canonical operation sequence —
-/// term = coefficient, term *= value (exponent times), total += term — so
-/// every lane is bitwise identical to the scalar paths. No FMA: mul and
-/// add stay separate operations in both implementations.
-void EvalLaneGroupScalar(const CompiledPolynomialSet::CsrView& csr,
-                         size_t poly_begin, size_t poly_end,
-                         const double* lanes, double* const* outs,
-                         size_t live) {
+/// term = coefficient, term *= value (once per slot entry), total += term
+/// — so every lane is bitwise identical to the scalar paths. No FMA: mul
+/// and add stay separate operations in both implementations.
+template <size_t kGroups>
+void EvalLanesScalar(const CompiledPolynomialSet::CsrView& csr,
+                     size_t poly_begin, size_t poly_end, const double* lanes,
+                     double* const* outs, size_t live) {
+  constexpr size_t kWidth = kGroups * kLaneWidth;
   for (size_t p = poly_begin; p < poly_end; ++p) {
-    double total[kLaneWidth] = {0.0, 0.0, 0.0, 0.0};
+    double total[kWidth] = {};
     for (uint32_t m = csr.poly_offsets[p]; m < csr.poly_offsets[p + 1]; ++m) {
-      const double c = csr.coefficients[m];
-      double term[kLaneWidth] = {c, c, c, c};
+      double term[kWidth];
+      for (size_t j = 0; j < kWidth; ++j) term[j] = csr.coefficients[m];
       for (uint32_t f = csr.mono_offsets[m]; f < csr.mono_offsets[m + 1];
            ++f) {
-        const double* v = lanes + size_t{csr.factor_slots[f]} * kLaneWidth;
-        for (uint32_t e = 0; e < csr.factor_exps[f]; ++e) {
-          for (size_t j = 0; j < kLaneWidth; ++j) term[j] *= v[j];
-        }
+        const double* v = lanes + size_t{csr.factor_slots[f]} * kWidth;
+        for (size_t j = 0; j < kWidth; ++j) term[j] *= v[j];
       }
-      for (size_t j = 0; j < kLaneWidth; ++j) total[j] += term[j];
+      for (size_t j = 0; j < kWidth; ++j) total[j] += term[j];
     }
     for (size_t j = 0; j < live; ++j) outs[j][p - poly_begin] = total[j];
   }
@@ -167,35 +170,61 @@ void EvalLaneGroupScalar(const CompiledPolynomialSet::CsrView& csr,
 #if defined(PROVABS_EVAL_X86) && defined(__GNUC__)
 #define PROVABS_EVAL_HAVE_AVX2 1
 
-/// AVX2 twin of EvalLaneGroupScalar: one vmulpd/vaddpd per lane-group
-/// operation. Per-element IEEE-754 semantics of packed mul/add are
-/// identical to scalar mul/add (and intrinsics never contract into FMA),
-/// so the bits match the scalar paths exactly. Compiled with a function-
-/// level target attribute so the rest of the binary stays baseline-ISA;
-/// only reached after __builtin_cpu_supports("avx2") at runtime.
-__attribute__((target("avx2"))) void EvalLaneGroupAvx2(
+/// AVX2 twin of EvalLanesScalar: one coefficient broadcast per monomial,
+/// and per slot entry one slot load feeding one vmulpd per group.
+/// Per-element IEEE-754 semantics of packed mul/add are identical to
+/// scalar mul/add (and intrinsics never contract into FMA), so the bits
+/// match the scalar paths exactly. Compiled with a function-level target
+/// attribute so the rest of the binary stays baseline-ISA; only reached
+/// after __builtin_cpu_supports("avx2") at runtime.
+template <size_t kGroups>
+__attribute__((target("avx2"))) void EvalLanesAvx2(
     const CompiledPolynomialSet::CsrView& csr, size_t poly_begin,
     size_t poly_end, const double* lanes, double* const* outs, size_t live) {
+  constexpr size_t kWidth = kGroups * kLaneWidth;
   for (size_t p = poly_begin; p < poly_end; ++p) {
-    __m256d total = _mm256_setzero_pd();
+    __m256d total[kGroups];
+    for (size_t g = 0; g < kGroups; ++g) total[g] = _mm256_setzero_pd();
     for (uint32_t m = csr.poly_offsets[p]; m < csr.poly_offsets[p + 1]; ++m) {
-      __m256d term = _mm256_set1_pd(csr.coefficients[m]);
+      const __m256d c = _mm256_set1_pd(csr.coefficients[m]);
+      __m256d term[kGroups];
+      for (size_t g = 0; g < kGroups; ++g) term[g] = c;
       for (uint32_t f = csr.mono_offsets[m]; f < csr.mono_offsets[m + 1];
            ++f) {
-        const __m256d v = _mm256_loadu_pd(
-            lanes + size_t{csr.factor_slots[f]} * kLaneWidth);
-        for (uint32_t e = 0; e < csr.factor_exps[f]; ++e) {
-          term = _mm256_mul_pd(term, v);
+        const double* v = lanes + size_t{csr.factor_slots[f]} * kWidth;
+        for (size_t g = 0; g < kGroups; ++g) {
+          term[g] = _mm256_mul_pd(term[g],
+                                  _mm256_loadu_pd(v + g * kLaneWidth));
         }
       }
-      total = _mm256_add_pd(total, term);
+      for (size_t g = 0; g < kGroups; ++g) {
+        total[g] = _mm256_add_pd(total[g], term[g]);
+      }
     }
-    double values[kLaneWidth];
-    _mm256_storeu_pd(values, total);
+    double values[kWidth];
+    for (size_t g = 0; g < kGroups; ++g) {
+      _mm256_storeu_pd(values + g * kLaneWidth, total[g]);
+    }
     for (size_t j = 0; j < live; ++j) outs[j][p - poly_begin] = values[j];
   }
 }
 #endif  // PROVABS_EVAL_HAVE_AVX2
+
+/// One pass of `kGroups` lane groups on the AVX2 lanes when `avx2`, else
+/// on the scalar lanes.
+template <size_t kGroups>
+void EvalPass([[maybe_unused]] bool avx2,
+              const CompiledPolynomialSet::CsrView& csr, size_t poly_begin,
+              size_t poly_end, const double* lanes, double* const* outs,
+              size_t live) {
+#if defined(PROVABS_EVAL_HAVE_AVX2)
+  if (avx2) {
+    EvalLanesAvx2<kGroups>(csr, poly_begin, poly_end, lanes, outs, live);
+    return;
+  }
+#endif
+  EvalLanesScalar<kGroups>(csr, poly_begin, poly_end, lanes, outs, live);
+}
 
 bool CpuHasAvx2() {
 #if defined(PROVABS_EVAL_HAVE_AVX2)
@@ -243,33 +272,32 @@ void SimdBatchBackend::DoEvaluateBatch(const CompiledPolynomialSet& compiled,
                                        size_t scenario_count) const {
   const CompiledPolynomialSet::CsrView csr = compiled.csr();
   const size_t slots = compiled.slot_count();
-#if defined(PROVABS_EVAL_HAVE_AVX2)
   const bool avx2 = using_avx2();
-#endif
-  // One SoA transpose buffer, refilled per lane group: lanes[slot*W + j].
-  // Remainder groups duplicate the group's first scenario into the dead
-  // lanes (their outputs are discarded), so the kernels never branch on
-  // lane liveness in the inner loops.
-  std::vector<double> lanes(slots * kLaneWidth);
-  for (size_t g = 0; g < scenario_count; g += kLaneWidth) {
-    const size_t live = std::min(kLaneWidth, scenario_count - g);
-    for (size_t j = 0; j < kLaneWidth; ++j) {
+  // One SoA transpose buffer, refilled per pass: lanes[slot * width + j].
+  // A pass takes two groups while more than one group's scenarios remain,
+  // and a tail of one group or less takes a one-group pass. A partial pass
+  // duplicates its first scenario into the dead lanes (their outputs are
+  // discarded), so the kernels never branch on lane liveness in the inner
+  // loops.
+  constexpr size_t kMaxWidth = kMaxGroups * kLaneWidth;
+  std::vector<double> lanes(slots * kMaxWidth);
+  for (size_t g = 0; g < scenario_count; g += kMaxWidth) {
+    const size_t left = scenario_count - g;
+    const size_t width = left > kLaneWidth ? kMaxWidth : kLaneWidth;
+    const size_t live = std::min(width, left);
+    for (size_t j = 0; j < width; ++j) {
       const double* src = scenarios[g + (j < live ? j : 0)]->data();
       for (size_t slot = 0; slot < slots; ++slot) {
-        lanes[slot * kLaneWidth + j] = src[slot];
+        lanes[slot * width + j] = src[slot];
       }
     }
-    double* group_outs[kLaneWidth] = {nullptr, nullptr, nullptr, nullptr};
-    for (size_t j = 0; j < live; ++j) group_outs[j] = outs[g + j];
-#if defined(PROVABS_EVAL_HAVE_AVX2)
-    if (avx2) {
-      EvalLaneGroupAvx2(csr, poly_begin, poly_end, lanes.data(), group_outs,
-                        live);
-      continue;
+    if (width == kMaxWidth) {
+      EvalPass<kMaxGroups>(avx2, csr, poly_begin, poly_end, lanes.data(),
+                           outs + g, live);
+    } else {
+      EvalPass<1>(avx2, csr, poly_begin, poly_end, lanes.data(), outs + g,
+                  live);
     }
-#endif
-    EvalLaneGroupScalar(csr, poly_begin, poly_end, lanes.data(), group_outs,
-                        live);
   }
 }
 
@@ -339,12 +367,10 @@ StatusOr<const EvaluationBackend*> EvaluationBackendRegistry::ResolveForBatch(
   const EvaluationBackend* simd = available("simd_batch");
   const bool wide =
       simd != nullptr && batch_size >= simd->info().preferred_batch;
-  // AVX2 lanes win wide calls on sets of kSimdBatchMinMonomials or more.
-  // Scalar lanes trail the jit by 1.3-1.4x at widths 4-16 on the Q10 view,
-  // so there, and on smaller sets, the jit serves and counts every width.
-  if (wide && SimdBatchAvx2Active() &&
-      (snapshot == nullptr ||
-       snapshot->monomial_count() >= kSimdBatchMinMonomials)) {
+  // Scalar lanes trail the jit on sets under kScalarLaneMinMonomials, so
+  // there the jit serves and counts wide calls too.
+  if (wide && (snapshot == nullptr || SimdBatchAvx2Active() ||
+               snapshot->monomial_count() >= kScalarLaneMinMonomials)) {
     return simd;
   }
   const EvaluationBackend* jit = available("jit");

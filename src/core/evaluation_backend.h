@@ -38,12 +38,14 @@ class Valuation;
 /// tolerance, and the bench exits nonzero on any divergence.
 
 /// Monomials a compiled set needs before auto-routing sends its wide calls
-/// to simd_batch. On smaller sets the jit's straight-line code beats the
-/// lane interpreter's loop control at every width: by 1.2-1.8x at width 40
-/// on bench_evaluate_kernel's sets of 126-623 monomials, and still by
-/// 1.3-1.7x with the lane transpose left out, while from about 1,000
-/// monomials up simd_batch wins or ties (CHANGES.md has the table).
-inline constexpr uint64_t kSimdBatchMinMonomials = 1024;
+/// to simd_batch while its lanes are scalar. At width 40 on
+/// bench_evaluate_kernel's smoke-scale sets the jit beat scalar lanes by
+/// 1.05-1.6x on the sets of 126 and 151 monomials, and scalar lanes beat
+/// the jit by 1.2-1.3x on the set of 536 and won on the set of 1,188; the
+/// constant sits between the two sides (CHANGES.md has the runs). AVX2
+/// lanes came within 0.87x of the jit on every set, so they take every
+/// wide call.
+inline constexpr uint64_t kScalarLaneMinMonomials = 256;
 
 /// Capability record advertised by an evaluation backend, served over the
 /// wire by the ListBackends request so clients route without hardcoding
@@ -57,8 +59,8 @@ struct EvaluationBackendInfo {
   /// Same inputs always yield the same bits (all built-ins).
   bool deterministic = false;
   /// Batch width from which this backend is the fastest. For simd_batch
-  /// it is the width rule's crossover: with AVX2 lanes auto-routing sends
-  /// every call at least this wide to it. 1 = no batching requirement.
+  /// it is the width rule's crossover: auto-routing sends calls at least
+  /// this wide to it. 1 = no batching requirement.
   uint32_t preferred_batch = 1;
   /// Scenarios a compiled snapshot must have served in the auto-routed
   /// calls this backend would take before auto-routing picks it: the
@@ -116,9 +118,10 @@ class EvaluationBackend {
 ///   compiled   — PR 5's CSR kernel (flat-array walks), one scenario at a
 ///                time; the single-scenario baseline
 ///   simd_batch — transposes the batch into structure-of-arrays lanes and
-///                walks the CSR arrays ONCE per polynomial for all lanes;
-///                AVX2 when the CPU has it (runtime-detected), with a
-///                portable scalar-lane fallback compiled unconditionally
+///                walks the CSR arrays once per 8 scenarios, as two
+///                independent 4-lane accumulator chains; AVX2 when the CPU
+///                has it (runtime-detected), with a portable scalar-lane
+///                fallback compiled unconditionally
 ///   jit        — emits one straight-line native function per polynomial
 ///                of the compiled artifact (jit/jit_backend.h), cached by
 ///                compiled-form fingerprint; degrades to the compiled
@@ -152,14 +155,12 @@ class EvaluationBackendRegistry {
   /// Auto-routing policy shared by every evaluation path. An explicit
   /// `name` resolves strictly. An empty name routes by batch width:
   ///   - a wide call, at least simd_batch's preferred_batch (one lane
-  ///     group), runs simd_batch when its lanes are AVX2
-  ///     (SimdBatchAvx2Active()) and the `snapshot`, if given, has at
-  ///     least kSimdBatchMinMonomials monomials;
-  ///   - a narrower call runs the jit when it is Available() and, given a
-  ///     `snapshot`, once that snapshot has served the jit's
-  ///     break_even_scenarios in such calls. With scalar lanes, and on
-  ///     smaller sets, where simd_batch loses to the jit, wide calls are
-  ///     routed this way too;
+  ///     group, 4 scenarios), runs simd_batch, except on a `snapshot`
+  ///     under kScalarLaneMinMonomials monomials while the lanes are
+  ///     scalar (SimdBatchAvx2Active() false);
+  ///   - a narrower call, and a wide call under that exception, runs the
+  ///     jit when it is Available() and, given a `snapshot`, once that
+  ///     snapshot has served the jit's break_even_scenarios in such calls;
   ///   - every other call runs simd_batch when wide, else compiled (the
   ///     first registered backend in a registry without it; an empty
   ///     registry is the only hard failure). Batch 0 runs compiled.
@@ -167,10 +168,11 @@ class EvaluationBackendRegistry {
   /// A call the jit could serve but does not yet adds its width to the
   /// snapshot's count (CompiledPolynomialSet::CountInterpretedScenarios).
   /// Wide calls that simd_batch takes never count, because the jit never
-  /// serves them. A snapshot that sees only such batches therefore never
-  /// emits code, a short-lived one never pays an emission it cannot repay,
-  /// and a long-lived narrow reader crosses over after its first ~100
-  /// scenarios. Without a snapshot, routing ignores the break-even.
+  /// serves them. A snapshot that sees only scenario families therefore
+  /// never emits code, a short-lived one never pays an emission it cannot
+  /// repay, and a long-lived narrow reader crosses over after its first
+  /// ~100 scenarios. Without a snapshot, routing ignores the break-even
+  /// and the set size.
   StatusOr<const EvaluationBackend*> ResolveForBatch(
       const std::string& name, size_t batch_size,
       const CompiledPolynomialSet* snapshot = nullptr) const;

@@ -1,6 +1,7 @@
 #include "io/serializer.h"
 
 #include <cstdio>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -144,6 +145,10 @@ StatusOr<PolynomialSet> DeserializePolynomialSet(std::string_view data,
       if (Status s = CheckCount(*factor_count, 2, r); !s.ok()) return s;
       std::vector<Factor> factors;
       factors.reserve(*factor_count);
+      // Summed over the raw list, before Monomial merges duplicate
+      // variables by adding their exponents in 32 bits; `degree` never
+      // exceeds the cap, so the comparison cannot wrap.
+      uint64_t degree = 0;
       for (uint64_t f = 0; f < *factor_count; ++f) {
         auto slot = r.GetVarint();
         if (!slot.ok()) return slot.status();
@@ -152,9 +157,15 @@ StatusOr<PolynomialSet> DeserializePolynomialSet(std::string_view data,
         }
         auto exp = r.GetVarint();
         if (!exp.ok()) return exp.status();
-        if (*exp == 0 || *exp > 0xFFFFFFFFull) {
+        if (*exp == 0) {
           return Status::InvalidArgument("exponent out of range");
         }
+        if (*exp > kMaxMonomialDegree - degree) {
+          return Status::InvalidArgument(
+              "monomial degree exceeds the cap of " +
+              std::to_string(kMaxMonomialDegree));
+        }
+        degree += *exp;
         factors.push_back(
             Factor{(*dict)[*slot], static_cast<uint32_t>(*exp)});
       }

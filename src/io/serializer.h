@@ -1,6 +1,7 @@
 #ifndef PROVABS_IO_SERIALIZER_H_
 #define PROVABS_IO_SERIALIZER_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -27,12 +28,21 @@ namespace provabs {
 /// All readers are bounds-checked and return Status errors on malformed
 /// input; they never abort.
 
+/// Largest total degree (sum of exponents) of a monomial the deserializer
+/// accepts. Compiled evaluation spends one multiplication, one CSR slot
+/// entry and one jit mulsd per unit of degree, so an uncapped exponent
+/// would let a few input bytes demand gigabytes. Every workload generator
+/// here emits degree-2 monomials.
+inline constexpr uint64_t kMaxMonomialDegree = 64;
+
 /// Serializes the polynomial multiset (with its variable names).
 std::string SerializePolynomialSet(const PolynomialSet& polys,
                                    const VariableTable& vars);
 
 /// Parses a buffer produced by SerializePolynomialSet, interning names
-/// into `vars`.
+/// into `vars`. Rejects (kInvalidArgument) a monomial whose total degree,
+/// summed over its factors before duplicates merge, exceeds
+/// kMaxMonomialDegree.
 StatusOr<PolynomialSet> DeserializePolynomialSet(std::string_view data,
                                                  VariableTable& vars);
 

@@ -36,15 +36,17 @@ void EmitPolyBody(X86Encoder& enc, const CompiledPolynomialSet::CsrView& csr,
     std::memcpy(&coeff_bits, &csr.coefficients[m], sizeof(coeff_bits));
     enc.MovRaxImm64(coeff_bits);
     enc.MovqFromRax(kTerm);
+    // One mulsd per slot entry: a factor x^e is e entries, so
+    // exponentiation stays repeated multiplication in the canonical order
+    // (never pow, never a square-and-multiply reassociation). The e
+    // entries are consecutive and equal, so x is loaded once for them.
     for (uint32_t f = csr.mono_offsets[m]; f < csr.mono_offsets[m + 1]; ++f) {
-      enc.MovsdLoad(kFactor, kSlots,
-                    static_cast<int32_t>(uint64_t{csr.factor_slots[f]} * 8));
-      // Exponentiation by repeated multiplication, one mulsd per step —
-      // the canonical order (never pow, never a square-and-multiply
-      // reassociation).
-      for (uint32_t e = 0; e < csr.factor_exps[f]; ++e) {
-        enc.Mulsd(kTerm, kFactor);
+      if (f == csr.mono_offsets[m] ||
+          csr.factor_slots[f] != csr.factor_slots[f - 1]) {
+        enc.MovsdLoad(kFactor, kSlots,
+                      static_cast<int32_t>(uint64_t{csr.factor_slots[f]} * 8));
       }
+      enc.Mulsd(kTerm, kFactor);
     }
     enc.Addsd(kTotal, kTerm);
   }

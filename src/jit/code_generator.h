@@ -44,7 +44,8 @@ struct GeneratedCode {
 
 /// Emits GeneratedCode for every polynomial of `compiled`. Fails with
 /// kOutOfRange when the blob would exceed `max_code_bytes` (fully-unrolled
-/// code is linear in the set's factor count, but a pathological set could
+/// code is linear in the set's slot entries, i.e. its monomials' total
+/// degrees, which the deserializer caps per monomial; a large set could
 /// out-size the instruction cache's usefulness and the arena budget — the
 /// backend treats the refusal as one more counted fallback reason) or when
 /// a slot offset cannot be addressed with a disp32 (slot > 2^28 — beyond

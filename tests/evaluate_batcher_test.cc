@@ -186,10 +186,10 @@ void RunConcurrent(EvaluateBatcher& batcher,
   }
 }
 
-// Ragged widths around the simd_batch preferred width (8): one scenario,
-// one under, exactly at, one over, 10x, and one family just past the
-// split threshold, each EvaluateDense call from its own thread at once on
-// one shared pool. The wide call runs as one EvaluateBatch per
+// Ragged widths around simd_batch's eight-scenario pass (two lane groups
+// of its preferred width, 4): one scenario, one under a pass, exactly one,
+// one over, 10x, and one family just past the split threshold, each
+// EvaluateDense call from its own thread at once on one shared pool. The wide call runs as one EvaluateBatch per
 // monomial-balanced range, every other call as one.
 TEST(EvaluateBatcherTest, RaggedBatchSizesStayBitwiseCorrect) {
   Rng rng(31000);

@@ -116,9 +116,17 @@ TEST(CompiledPolynomialSetTest, CsrLayoutCountsMatchTheSource) {
   CompiledPolynomialSet compiled = CompiledPolynomialSet::Compile(polys);
   EXPECT_EQ(compiled.poly_count(), 3u);
   EXPECT_EQ(compiled.monomial_count(), polys.SizeM());
-  EXPECT_EQ(compiled.factor_count(), 4u);  // x·y², z, y³
+  EXPECT_EQ(compiled.factor_count(), 7u);  // x·y², z, y³: 3 + 1 + 3
   EXPECT_EQ(compiled.slot_count(), 3u);    // x, y, z
   EXPECT_GT(compiled.ApproxBytes(), 0u);
+
+  // One slot entry per multiplication: y² is two entries of y's slot.
+  const CompiledPolynomialSet::CsrView csr = compiled.csr();
+  const std::vector<uint32_t> mono_offsets(csr.mono_offsets,
+                                           csr.mono_offsets + 4);
+  EXPECT_EQ(mono_offsets, (std::vector<uint32_t>{0, 3, 4, 7}));
+  const std::vector<uint32_t> slots(csr.factor_slots, csr.factor_slots + 7);
+  EXPECT_EQ(slots, (std::vector<uint32_t>{0, 1, 1, 2, 1, 1, 1}));
 
   // Slot order is first appearance; materialization defaults to 1.0.
   Valuation val;
@@ -212,8 +220,6 @@ void ExpectSameForm(const CompiledPolynomialSet& grown,
   }
   ExpectSameArray(g.factor_slots, c.factor_slots, cold.factor_count(),
                   "factor_slots");
-  ExpectSameArray(g.factor_exps, c.factor_exps, cold.factor_count(),
-                  "factor_exps");
   ASSERT_EQ(grown.slot_variables(), cold.slot_variables());
   for (uint32_t slot = 0; slot < cold.slot_count(); ++slot) {
     ASSERT_EQ(grown.SlotOf(cold.slot_variables()[slot]), slot);

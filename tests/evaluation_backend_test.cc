@@ -219,11 +219,9 @@ constexpr size_t kWideWidths[] = {4, 5, 40, 1024};
 
 /// Checks the width rule on a snapshot-free registry: batch 0 runs
 /// compiled, narrow batches the jit when it is active (else compiled), and
-/// wide batches simd_batch either way — unless its lanes are scalar and
-/// the jit is active, when the jit serves them too.
+/// wide batches simd_batch with either lane implementation.
 void ExpectWidthRule(const EvaluationBackendRegistry& registry,
                      bool jit_active) {
-  const bool wide_jit = jit_active && !SimdBatchAvx2Active();
   auto empty_batch = registry.ResolveForBatch("", 0);
   ASSERT_TRUE(empty_batch.ok());
   EXPECT_EQ((*empty_batch)->info().name, "compiled");
@@ -236,8 +234,7 @@ void ExpectWidthRule(const EvaluationBackendRegistry& registry,
   for (size_t batch : kWideWidths) {
     auto backend = registry.ResolveForBatch("", batch);
     ASSERT_TRUE(backend.ok());
-    EXPECT_EQ((*backend)->info().name, wide_jit ? "jit" : "simd_batch")
-        << "batch " << batch;
+    EXPECT_EQ((*backend)->info().name, "simd_batch") << "batch " << batch;
   }
 }
 
@@ -306,14 +303,14 @@ std::shared_ptr<PolynomialSet> RoutingSet(VariableTable& vars) {
   return polys;
 }
 
-/// A set of kSimdBatchMinMonomials monomials over fresh variables, large
-/// enough that simd_batch takes its wide calls: 8 polynomials of
-/// c * wx<k> * wy.
+/// A set of kScalarLaneMinMonomials monomials over fresh variables, large
+/// enough that simd_batch takes its wide calls with either lane
+/// implementation: 8 polynomials of c * wx<k> * wy.
 std::shared_ptr<PolynomialSet> WideRoutingSet(VariableTable& vars) {
   const std::string tag = std::to_string(vars.size());
   const VariableId y = vars.Intern("wy" + tag);
   auto polys = std::make_shared<PolynomialSet>();
-  const size_t per_poly = kSimdBatchMinMonomials / 8;
+  const size_t per_poly = kScalarLaneMinMonomials / 8;
   for (size_t p = 0; p < 8; ++p) {
     std::vector<Monomial> terms;
     for (size_t m = 0; m < per_poly; ++m) {
@@ -329,10 +326,10 @@ std::shared_ptr<PolynomialSet> WideRoutingSet(VariableTable& vars) {
 // With a snapshot, auto routing keeps a compiled form's narrow calls on the
 // compiled kernel for its first kJitBreakEvenScenarios narrow scenarios,
 // counting them on the snapshot, and only then sends them to the jit. Wide
-// calls on a set of kSimdBatchMinMonomials or more run simd_batch and never
-// count; on a smaller set they route like narrow calls. Explicit names and
-// snapshot-free
-// calls ignore the count and leave it untouched.
+// calls run simd_batch on either side of the break-even and never count,
+// except on a set under kScalarLaneMinMonomials with scalar lanes, where
+// they route like narrow ones. Explicit names and snapshot-free calls
+// ignore the count and leave it untouched.
 TEST(EvaluationBackendRegistryTest, SnapshotRoutesToJitOnlyPastBreakEven) {
   const EvaluationBackendRegistry& registry =
       EvaluationBackendRegistry::Default();
@@ -356,51 +353,44 @@ TEST(EvaluationBackendRegistryTest, SnapshotRoutesToJitOnlyPastBreakEven) {
   EXPECT_EQ(narrow->interpreted_scenarios(),
             kJitBreakEvenScenarios + (jit_active ? 0 : 1));
 
-  // On a set below kSimdBatchMinMonomials wide calls route like narrow
-  // ones: past the break-even to an active jit, else to simd_batch, and
+  // Past the break-even, wide calls on this three-monomial set run
+  // simd_batch and leave the count alone with AVX2 lanes. Scalar lanes
+  // route them like narrow ones: to an active jit, else to simd_batch,
   // counted.
+  const bool small_set_jit = !SimdBatchAvx2Active();
   const uint64_t served = narrow->interpreted_scenarios();
   uint64_t wide_total = 0;
   for (size_t batch : kWideWidths) {
     auto after = registry.ResolveForBatch("", batch, narrow.get());
     ASSERT_TRUE(after.ok());
-    EXPECT_EQ((*after)->info().name, jit_active ? "jit" : "simd_batch")
+    EXPECT_EQ((*after)->info().name,
+              small_set_jit && jit_active ? "jit" : "simd_batch")
         << "batch " << batch;
     wide_total += batch;
   }
   EXPECT_EQ(narrow->interpreted_scenarios(),
-            served + (jit_active ? 0 : wide_total));
+            served + (small_set_jit && !jit_active ? wide_total : 0));
 
-  // On a set of kSimdBatchMinMonomials or more with AVX2 lanes, wide
-  // batches run simd_batch and leave the count alone while narrow widths 2
-  // and 3 count their whole width. Scalar lanes route them like narrow ones.
-  std::shared_ptr<const CompiledPolynomialSet> wide =
+  // On a fresh snapshot of kScalarLaneMinMonomials monomials, wide batches
+  // however many run simd_batch with either lane implementation and leave
+  // the count at 0, while narrow widths 2 and 3 count their width.
+  std::shared_ptr<const CompiledPolynomialSet> fresh =
       WideRoutingSet(vars)->Compiled();
-  ASSERT_EQ(wide->monomial_count(), kSimdBatchMinMonomials);
-  if (SimdBatchAvx2Active()) {
-    for (size_t batch : kWideWidths) {
-      auto first = registry.ResolveForBatch(
-          "", kJitBreakEvenScenarios * batch, wide.get());
-      ASSERT_TRUE(first.ok());
-      EXPECT_EQ((*first)->info().name, "simd_batch") << "batch " << batch;
-    }
-    EXPECT_EQ(wide->interpreted_scenarios(), 0u);
-    auto two = registry.ResolveForBatch("", 2, wide.get());
-    ASSERT_TRUE(two.ok());
-    EXPECT_EQ((*two)->info().name, "compiled");
-    auto three = registry.ResolveForBatch("", 3, wide.get());
-    ASSERT_TRUE(three.ok());
-    EXPECT_EQ((*three)->info().name, "compiled");
-    EXPECT_EQ(wide->interpreted_scenarios(), 5u);
-  } else {
-    auto first = registry.ResolveForBatch("", kJitBreakEvenScenarios + 4,
-                                          wide.get());
+  ASSERT_EQ(fresh->monomial_count(), kScalarLaneMinMonomials);
+  for (size_t batch : kWideWidths) {
+    auto first = registry.ResolveForBatch(
+        "", kJitBreakEvenScenarios * batch, fresh.get());
     ASSERT_TRUE(first.ok());
-    EXPECT_EQ((*first)->info().name, "simd_batch");
-    auto second = registry.ResolveForBatch("", 4, wide.get());
-    ASSERT_TRUE(second.ok());
-    EXPECT_EQ((*second)->info().name, jit_active ? "jit" : "simd_batch");
+    EXPECT_EQ((*first)->info().name, "simd_batch") << "batch " << batch;
   }
+  EXPECT_EQ(fresh->interpreted_scenarios(), 0u);
+  auto two = registry.ResolveForBatch("", 2, fresh.get());
+  ASSERT_TRUE(two.ok());
+  EXPECT_EQ((*two)->info().name, "compiled");
+  auto three = registry.ResolveForBatch("", 3, fresh.get());
+  ASSERT_TRUE(three.ok());
+  EXPECT_EQ((*three)->info().name, "compiled");
+  EXPECT_EQ(fresh->interpreted_scenarios(), 5u);
 
   std::shared_ptr<const CompiledPolynomialSet> untouched =
       RoutingSet(vars)->Compiled();
@@ -413,13 +403,13 @@ TEST(EvaluationBackendRegistryTest, SnapshotRoutesToJitOnlyPastBreakEven) {
   EXPECT_EQ(untouched->interpreted_scenarios(), 0u);
 }
 
-// Through the serving batcher: on AVX2 lanes a 1,000-scenario family on a
-// fresh snapshot of kSimdBatchMinMonomials monomials runs simd_batch and
-// neither emits nor counts toward the break-even; the snapshot's first
-// kJitBreakEvenScenarios width-1 evaluations leave the jit code cache's
-// miss count unchanged, the next one emits and runs native code, and an
-// explicit "jit" request emits on its first call. Every answer stays
-// bitwise naive.
+// Through the serving batcher: a 1,000-scenario family on a fresh snapshot
+// of kScalarLaneMinMonomials monomials runs simd_batch, with either lane
+// implementation, and neither emits nor counts toward the break-even; the
+// snapshot's first kJitBreakEvenScenarios width-1 evaluations leave the jit
+// code cache's miss count unchanged, the next one emits and runs native
+// code, and an explicit "jit" request emits on its first call. Every answer
+// stays bitwise naive.
 TEST(EvaluationBackendRoutingTest, BatcherEmitsOnlyPastBreakEven) {
   if (!JitNativeActive()) GTEST_SKIP() << "no native jit on this host";
   ThreadPool pool(1);
@@ -438,20 +428,18 @@ TEST(EvaluationBackendRoutingTest, BatcherEmitsOnlyPastBreakEven) {
   const uint64_t misses = cache.stats().misses;
   const uint64_t native = jit->stats().native_batches;
   std::shared_ptr<const CompiledPolynomialSet> compiled = polys->Compiled();
-  if (SimdBatchAvx2Active()) {
-    std::vector<DenseValuation> family(1000,
-                                       compiled->MaterializeValuation(val));
-    std::string ran;
-    StatusOr<std::vector<std::vector<double>>> wide =
-        batcher.EvaluateDense(polys, compiled, std::move(family), "", &ran);
-    ASSERT_TRUE(wide.ok()) << wide.status().ToString();
-    EXPECT_EQ(ran, "simd_batch");
-    ASSERT_EQ(wide->size(), 1000u);
-    ExpectBitwiseEqual(expected, wide->back(), "wide family");
-    EXPECT_EQ(cache.stats().misses, misses);
-    EXPECT_EQ(jit->stats().native_batches, native);
-    EXPECT_EQ(compiled->interpreted_scenarios(), 0u);
-  }
+  std::vector<DenseValuation> family(1000,
+                                     compiled->MaterializeValuation(val));
+  std::string ran;
+  StatusOr<std::vector<std::vector<double>>> wide =
+      batcher.EvaluateDense(polys, compiled, std::move(family), "", &ran);
+  ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+  EXPECT_EQ(ran, "simd_batch");
+  ASSERT_EQ(wide->size(), 1000u);
+  ExpectBitwiseEqual(expected, wide->back(), "wide family");
+  EXPECT_EQ(cache.stats().misses, misses);
+  EXPECT_EQ(jit->stats().native_batches, native);
+  EXPECT_EQ(compiled->interpreted_scenarios(), 0u);
 
   for (uint64_t i = 0; i < kJitBreakEvenScenarios; ++i) {
     StatusOr<std::vector<double>> out = batcher.Evaluate(polys, val);
@@ -591,7 +579,8 @@ TEST_P(BackendDifferentialTest, AllBackendsBitwiseIdenticalToNaive) {
   PolynomialSet polys = MakeRandomSet(rng, ids);
 
   // Ragged batch sizes straddling the SIMD lane width (4) and the
-  // preferred batch (8): full groups, remainder groups, single scenarios.
+  // eight-scenario pass: two-group passes, one-group tails, partial lane
+  // groups, single scenarios.
   const size_t batch = 1 + rng.Uniform(11);
   std::vector<Valuation> scenarios;
   for (size_t s = 0; s < batch; ++s) {
@@ -622,6 +611,49 @@ TEST_P(BackendDifferentialTest, AllBackendsBitwiseIdenticalToNaive) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSets, BackendDifferentialTest,
                          ::testing::Range(0, 24));
+
+// A deterministic width sweep: widths 1-17 and 1,023-1,025 cover every
+// live-lane count of simd_batch's eight-scenario pass (5-8) and of its
+// one-group tail (1-4), after zero, one and many full passes. Every pinned
+// backend instance runs each width on one set whose factors have exponents
+// 1-4, so the kernels walk runs of repeated slot entries.
+TEST(BackendWidthSweepTest, EveryLaneCountStaysBitwiseIdenticalToNaive) {
+  Rng rng(6300);
+  VariableTable vars;
+  std::vector<VariableId> ids;
+  for (int i = 0; i < 12; ++i) {
+    ids.push_back(vars.Intern("w" + std::to_string(i)));
+  }
+  PolynomialSet polys;
+  for (int p = 0; p < 6; ++p) {
+    std::vector<Monomial> terms;
+    for (int t = 0; t < 10; ++t) {
+      // Distinct variables, so each factor keeps its drawn exponent.
+      std::vector<Factor> factors;
+      const size_t first = rng.Uniform(ids.size());
+      const size_t arity = 1 + rng.Uniform(4);
+      for (size_t f = 0; f < arity; ++f) {
+        factors.push_back({ids[(first + f) % ids.size()],
+                           static_cast<uint32_t>(1 + rng.Uniform(4))});
+      }
+      terms.emplace_back(rng.UniformReal(-10.0, 10.0), std::move(factors));
+    }
+    polys.Add(Polynomial::FromMonomials(std::move(terms)));
+  }
+
+  std::vector<size_t> widths = {1023, 1024, 1025};
+  for (size_t width = 1; width <= 17; ++width) widths.push_back(width);
+  for (size_t width : widths) {
+    std::vector<Valuation> scenarios(width);
+    for (Valuation& val : scenarios) {
+      for (VariableId id : ids) {
+        if (rng.Bernoulli(0.8)) val.Set(id, rng.UniformReal(-2.0, 2.0));
+      }
+    }
+    SCOPED_TRACE("width " + std::to_string(width));
+    RunAllBackendsDifferential(polys, scenarios);
+  }
+}
 
 TEST(EvaluateScenariosTest, UnknownBackendFailsListingRegistered) {
   PolynomialSet polys;

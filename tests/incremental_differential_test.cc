@@ -283,8 +283,6 @@ bool SameCompiledArrays(const CompiledPolynomialSet& a,
          same(x.coefficients, y.coefficients,
               a.monomial_count() * sizeof(double)) &&
          same(x.factor_slots, y.factor_slots,
-              a.factor_count() * sizeof(uint32_t)) &&
-         same(x.factor_exps, y.factor_exps,
               a.factor_count() * sizeof(uint32_t));
 }
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "circuit/factorize.h"
+#include "core/compiled_polynomial_set.h"
 #include "core/valuation.h"
 #include "io/byte_stream.h"
 #include "workload/telephony.h"
@@ -149,6 +150,67 @@ TEST_F(SerializerTest, RejectsTruncatedPayload) {
                                  vars_)
             .ok())
         << "cut at " << cut;
+  }
+}
+
+/// A polynomial-set buffer of one monomial 1.0 * x^e1 * x^e2 * ..., with
+/// its factors written exactly as listed: SerializePolynomialSet would
+/// merge duplicate factors first.
+std::string OneMonomialBytes(const std::vector<uint64_t>& exponents) {
+  ByteWriter w;
+  w.PutBytes("PVAB", 4);
+  w.PutU8(1);  // format version
+  w.PutU8(1);  // kind: polynomial set
+  w.PutVarint(1);
+  w.PutString("x");
+  w.PutVarint(1);  // polynomials
+  w.PutVarint(1);  // monomials
+  w.PutDouble(1.0);
+  w.PutVarint(exponents.size());
+  for (uint64_t exp : exponents) {
+    w.PutVarint(0);  // slot of x
+    w.PutVarint(exp);
+  }
+  return std::move(w).Release();
+}
+
+// Compiled evaluation spends one slot entry and one multiplication per unit
+// of degree, so the deserializer caps a monomial's total degree. The sum
+// runs over the raw factor list: duplicate factors that each stay under
+// the cap but sum over it are rejected, and so are exponents whose sum
+// would wrap the 32-bit merge in Monomial.
+TEST(SerializerDegreeCapTest, RejectsMonomialsAboveTheCap) {
+  const std::vector<std::vector<uint64_t>> hostile = {
+      {kMaxMonomialDegree + 1},
+      {kMaxMonomialDegree / 2 + 1, kMaxMonomialDegree / 2},
+      {1ull << 31, 1ull << 31},
+      {2000000000},
+      {~0ull},
+  };
+  for (const std::vector<uint64_t>& exponents : hostile) {
+    VariableTable vars;
+    auto parsed = DeserializePolynomialSet(OneMonomialBytes(exponents), vars);
+    ASSERT_FALSE(parsed.ok()) << "first exponent " << exponents[0];
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(parsed.status().message(),
+              "monomial degree exceeds the cap of 64");
+  }
+}
+
+TEST(SerializerDegreeCapTest, AcceptsMonomialsAtTheCap) {
+  EXPECT_EQ(kMaxMonomialDegree, 64u);
+  for (const std::vector<uint64_t>& exponents :
+       {std::vector<uint64_t>{kMaxMonomialDegree},
+        std::vector<uint64_t>{40, 24}}) {
+    VariableTable vars;
+    auto parsed = DeserializePolynomialSet(OneMonomialBytes(exponents), vars);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    ASSERT_EQ(parsed->SizeM(), 1u);
+    const Monomial& m = (*parsed)[0].monomials()[0];
+    EXPECT_EQ(m.total_degree(), kMaxMonomialDegree);
+    EXPECT_EQ(m.ExponentOf(vars.Find("x")), kMaxMonomialDegree);
+    // One slot entry per multiplication.
+    EXPECT_EQ(parsed->Compiled()->factor_count(), kMaxMonomialDegree);
   }
 }
 

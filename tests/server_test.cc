@@ -470,6 +470,52 @@ TEST_F(ServiceTest, ErrorsCarryStatusCodes) {
   EXPECT_EQ(service_->Load(unnamed).code, StatusCode::kInvalidArgument);
 }
 
+// One monomial x^2,000,000,000 is a few dozen bytes, and compiling it used
+// to mean 2·10^9 slot entries, or 2·10^9 emitted mulsd on the first jit
+// evaluate. Load and Append reject it with a pinned message; the service
+// keeps its artifacts and goes on answering.
+TEST_F(ServiceTest, HostileDegreeIsRejectedAtLoadAndAppend) {
+  VariableTable vars;
+  PolynomialSet hostile;
+  hostile.Add(Polynomial::FromMonomials(
+      {Monomial(1.0, {{vars.Intern("x"), 2000000000u}})}));
+  const std::string bytes = SerializePolynomialSet(hostile, vars);
+  EXPECT_EQ(bytes.size(), 26u);
+
+  LoadRequest load;
+  load.artifact = "hostile";
+  load.polys_bytes = bytes;
+  Response loaded = service_->Load(load);
+  EXPECT_EQ(loaded.code, StatusCode::kInvalidArgument);
+  EXPECT_EQ(loaded.message, "monomial degree exceeds the cap of 64");
+
+  AppendRequest append;
+  append.artifact = "ex";
+  append.polys_bytes = bytes;
+  Response appended = service_->Append(append);
+  EXPECT_EQ(appended.code, StatusCode::kInvalidArgument);
+  EXPECT_EQ(appended.message, "monomial degree exceeds the cap of 64");
+
+  load.artifact = "again";
+  load.polys_bytes = polys_bytes_;
+  ASSERT_TRUE(service_->Load(load).ok());
+  Valuation val;
+  val.Set(vars_.Find("m1"), 0.5);
+  const std::vector<double> expected = val.EvaluateAll(polys_);
+  for (const char* artifact : {"ex", "again"}) {
+    EvaluateRequest eval;
+    eval.artifact = artifact;
+    eval.assignments = {{"m1", 0.5}};
+    eval.eval_backend = "jit";
+    Response resp = service_->Evaluate(eval);
+    ASSERT_TRUE(resp.ok()) << artifact << ": " << resp.message;
+    ASSERT_EQ(resp.values.size(), expected.size()) << artifact;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(resp.values[i], expected[i]) << artifact << " poly " << i;
+    }
+  }
+}
+
 TEST_F(ServiceTest, TradeoffReturnsParetoFrontier) {
   TradeoffRequest req;
   req.artifact = "ex";
@@ -650,11 +696,12 @@ TEST_F(ServiceTest, EvaluateRoutesThroughNamedBackend) {
 /// one EvaluateScenarioProgram request must be observationally identical —
 /// bitwise, not approximately — to issuing every expanded scenario as its
 /// own Evaluate request.
-/// A set of kSimdBatchMinMonomials monomials, large enough that simd_batch
-/// takes its wide calls: 16 polynomials of 64 monomials c * m<k> * b<p>.
+/// A set of kScalarLaneMinMonomials monomials, large enough that simd_batch
+/// takes its wide calls with either lane implementation: 16 polynomials of
+/// 64 monomials c * m<k> * b<p>.
 std::string WideSetBytes(VariableTable& vars) {
   PolynomialSet polys;
-  const size_t per_poly = kSimdBatchMinMonomials / 16;
+  const size_t per_poly = kScalarLaneMinMonomials / 16;
   for (size_t p = 0; p < 16; ++p) {
     const VariableId b = vars.Intern("bw" + std::to_string(p));
     std::vector<Monomial> terms;
@@ -809,9 +856,9 @@ TEST_F(ScenarioServiceTest, ThousandScenarioRequestMatchesIndividualEvaluates) {
 
 // A scenario request echoes the backend that ran, not "" for auto: a
 // 16-scenario family on a fresh snapshot fills simd_batch lanes, and a
-// family run in 7-scenario chunks echoes its last chunk's backend, which
-// is the jit once the snapshot has served its break-even (where the jit is
-// available). An explicit name echoes itself.
+// family run in 7-scenario chunks echoes its last chunk's backend, which is
+// simd_batch too, because its 6-scenario tail is wider than one lane group.
+// An explicit name echoes itself.
 TEST_F(ScenarioServiceTest, ScenarioRequestsEchoTheBackendThatRan) {
   EvaluateScenarioProgramRequest req;
   req.artifact = "ex";
@@ -827,19 +874,14 @@ TEST_F(ScenarioServiceTest, ScenarioRequestsEchoTheBackendThatRan) {
   EXPECT_EQ(named.eval_backend, "naive");
 
   // Families of one lane group or more run simd_batch on a fresh artifact
-  // of kSimdBatchMinMonomials monomials however many scenarios it has
-  // served, so they never emit jit code (scalar lanes hand them to an
-  // active jit past its break-even).
-  const bool wide_jit =
-      EvaluationBackendRegistry::Default().Find("jit")->Available() &&
-      !SimdBatchAvx2Active();
+  // of kScalarLaneMinMonomials monomials however many scenarios it has
+  // served, with either lane implementation, so they never emit jit code.
   LoadRequest fresh;
   fresh.artifact = "fresh";
   fresh.polys_bytes = WideSetBytes(vars_);
   ASSERT_TRUE(service_->Load(fresh).ok());
   const uint64_t misses = jit::JitCodeCache::Default().stats().misses;
   for (size_t width : {16, 64, 256, 1024}) {
-    if (wide_jit) break;
     std::string grid;
     for (size_t i = 0; i < width; ++i) {
       grid += (i == 0 ? "" : ", ") + std::to_string(0.5 + 0.001 * i);
@@ -872,7 +914,7 @@ TEST_F(ScenarioServiceTest, ScenarioRequestsEchoTheBackendThatRan) {
   Response chunked_resp = chunked.EvaluateScenarioProgram(req);
   ASSERT_TRUE(chunked_resp.ok()) << chunked_resp.message;
   ASSERT_EQ(chunked_resp.scenario_count, 1000u);  // last chunk: 6 scenarios
-  EXPECT_EQ(chunked_resp.eval_backend, wide_jit ? "jit" : "simd_batch");
+  EXPECT_EQ(chunked_resp.eval_backend, "simd_batch");
 }
 
 TEST_F(ScenarioServiceTest, ShapedResponsesPickByObjective) {

@@ -16,7 +16,9 @@
 #     code (JITSTAT lines with mode=native; a jit fallback is the compiled
 #     kernel itself) >= 1.0x the single-scenario compiled loop, and the
 #     auto-routed backend at width 1 and 40 no more than 1.5x slower than
-#     the fastest registered one (ROUTESTAT best_over_auto >= 0.67).
+#     the fastest registered one (ROUTESTAT best_over_auto >= 0.67), and
+#     one 40-scenario simd_batch call >= 1.2x ten 4-scenario calls on the
+#     same scenarios (LANESTAT ratio: two lane groups per CSR walk).
 # bench_evaluate_kernel and bench_parallel_scaling also exit nonzero when an
 # evaluation path (the serving evaluator, or a call split across the pool)
 # differs bitwise from the path it is compared against.
