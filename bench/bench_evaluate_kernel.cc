@@ -24,8 +24,8 @@
 ///
 ///   BATCHSTAT workload=<w> backend=<name> batch=<n> seconds=<t> ratio=<r>
 ///
-/// Each backend runs one untimed batch before its timed reps, so the jit's
-/// line is its steady state and excludes the code emission.
+/// Each backend runs one bit-checked batch before the timed rounds, so the
+/// jit's line is its steady state and excludes the code emission.
 ///
 /// The simd_batch ratio must not fall below 1.0x: a vectorized backend
 /// slower than the scalar loop it batches is a regression even at smoke
@@ -47,6 +47,11 @@
 /// kernel against itself plus dispatch overhead, so NOJIT-forced or
 /// exec-restricted hosts skip it cleanly.
 ///
+/// The compiled loop (each scenario materialized and run through the
+/// compiled kernel, one at a time) is timed in the same interleaved rounds
+/// as the batched and jit arms' calls, so seconds is the median over the
+/// rounds and ratio the median of the per-round ratios.
+///
 /// A fourth, routing arm times every registered backend at width 1 (one
 /// call per scenario) and at the batched arm's width (one call for every
 /// scenario), on the artifact's snapshot past the jit break-even, against
@@ -62,8 +67,9 @@
 /// either width.
 ///
 /// A fifth, lane arm times simd_batch on the same scenarios as one call of
-/// the batched arm's width (eight-scenario passes, two lane groups each)
-/// and as calls of one lane group each (one-group passes):
+/// the batched arm's width (passes of two lane groups: 16 + 16 + 8 lanes
+/// for 40 scenarios with AVX-512 lanes, five passes of 8 with AVX2 or
+/// scalar lanes) and as calls of one lane group each (one-group passes):
 ///
 ///   LANESTAT workload=<w> batch=<n> group=<g> wide_us=<t> grouped_us=<t>
 ///            ratio=<r>
@@ -72,6 +78,17 @@
 /// and ratio is the median over the rounds of grouped_us over wide_us. It
 /// must not fall below kLaneFloor: two independent accumulator chains per
 /// CSR walk must keep paying for themselves.
+///
+/// A sixth, lane-kind arm runs where simd_batch's lanes are AVX-512: the
+/// auto instance against one pinned to AVX2 lanes, one call each on the
+/// same scenarios, both bit-checked:
+///
+///   KINDSTAT workload=<w> batch=<n> lanes=avx512 pinned=avx2
+///            lanes_us=<t> pinned_us=<t> ratio=<r>
+///
+/// with medians as in the lane arm and ratio = pinned_us over lanes_us.
+/// It must not fall below kKindFloor: the 16-lane pass must not lose to
+/// the AVX2 passes it replaces.
 
 #include <algorithm>
 #include <cstdio>
@@ -109,6 +126,10 @@ constexpr double kRoutingFloor = 0.67;
 /// ratio read 0.93-1.21 on the same VM, and with two groups per pass
 /// 1.26-1.83, at smoke and full scale with either lane implementation.
 constexpr double kLaneFloor = 1.2;
+/// Same-run floor of KINDSTAT's ratio: the 16-lane pass must not lose to
+/// the AVX2 passes. Thirteen smoke-scale and eleven full-scale runs on the
+/// same VM measured 1.13-1.46 and 1.16-1.69, lowest on the Q10 set.
+constexpr double kKindFloor = 1.0;
 
 bool BitwiseEqual(const std::vector<double>& a, const std::vector<double>& b) {
   if (a.size() != b.size()) return false;
@@ -171,127 +192,6 @@ struct DenseBatch {
   std::vector<double*> out_ptrs;
 };
 
-/// The batched arm: the whole scenario batch through each registered
-/// backend in single EvaluateBatch calls, bit-checked against the naive
-/// results. `t_compiled` is the accumulated single-scenario compiled-loop
-/// time over the same scenarios (the ratio's denominator is that loop).
-bool RunBatchedArm(const Workload& w,
-                   const CompiledPolynomialSet& compiled, DenseBatch& batch,
-                   const std::vector<std::vector<double>>& naive_results,
-                   double t_compiled, bool* floors_hold) {
-  const size_t n = batch.dense.size();
-  bool all_equal = true;
-  constexpr int kReps = 5;
-  const EvaluationBackendRegistry& registry =
-      EvaluationBackendRegistry::Default();
-  for (const std::string& name : registry.Names()) {
-    const EvaluationBackend* backend = registry.Find(name);
-    // One untimed batch first, so the timed reps are the steady state: the
-    // jit emits its code for this snapshot there, and the jit and routing
-    // arms leave emission out of their timings too.
-    Status status = batch.Run(*backend, compiled, 0, n);
-    Timer timer;
-    for (int rep = 0; rep < kReps && status.ok(); ++rep) {
-      status = batch.Run(*backend, compiled, 0, n);
-    }
-    const double seconds = timer.ElapsedSeconds() / kReps;
-    if (!status.ok()) {
-      std::printf("BATCH ERROR %s/%s: %s\n", w.name.c_str(), name.c_str(),
-                  status.ToString().c_str());
-      return false;
-    }
-    for (size_t s = 0; s < n; ++s) {
-      if (!BitwiseEqual(naive_results[s], batch.out[s])) {
-        std::printf("BATCH MISMATCH in %s backend=%s scenario %zu\n",
-                    w.name.c_str(), name.c_str(), s);
-        all_equal = false;
-      }
-    }
-    const double ratio = seconds > 0 ? t_compiled / seconds : 0.0;
-    std::printf(
-        "BATCHSTAT workload=%s backend=%s batch=%zu seconds=%.6f "
-        "ratio=%.2f\n",
-        w.name.c_str(), name.c_str(), n, seconds, ratio);
-    if (name == "simd_batch") {
-      *floors_hold &= RatioFloorHolds(("simd_batch " + w.name).c_str(),
-                                      ratio, kBackendFloor);
-    }
-  }
-  return all_equal;
-}
-
-/// The jit arm: the single-scenario sweep through the "jit" backend, one
-/// batch-of-1 EvaluateBatch per scenario, bit-checked against naive. A
-/// local backend instance exposes the native/fallback decision through its
-/// stats, and its private code cache makes the first batch a fresh
-/// emission even though the parallel arm already filled the process-wide
-/// cache for this artifact.
-bool RunJitArm(const Workload& w, const CompiledPolynomialSet& compiled,
-               const DenseBatch& batch,
-               const std::vector<std::vector<double>>& naive_results,
-               double t_compiled, bool* floors_hold) {
-  const size_t poly_count = compiled.poly_count();
-  const size_t n = batch.dense.size();
-  const std::vector<DenseValuation>& dense = batch.dense;
-  jit::JitCodeCache cache(jit::JitCodeCache::kDefaultByteBudget);
-  JitBackend jit(JitBackend::Mode::kAuto, &cache);
-  std::vector<double> out(poly_count);
-
-  // The first batch pays the one-time emission (always a miss in the
-  // private cache); report it apart so the steady-state ratio reflects the
-  // amortized serving cost.
-  Timer emit_timer;
-  {
-    const DenseValuation* scenario = &dense[0];
-    double* out_ptr = out.data();
-    Status status = jit.EvaluateBatch(compiled, 0, poly_count, &scenario,
-                                      &out_ptr, 1);
-    if (!status.ok()) {
-      std::printf("JIT ERROR %s: %s\n", w.name.c_str(),
-                  status.ToString().c_str());
-      return false;
-    }
-  }
-  const double emit_ms = emit_timer.ElapsedMillis();
-
-  bool all_equal = true;
-  constexpr int kReps = 5;
-  Timer timer;
-  for (int rep = 0; rep < kReps; ++rep) {
-    for (size_t s = 0; s < n; ++s) {
-      const DenseValuation* scenario = &dense[s];
-      double* out_ptr = out.data();
-      Status status = jit.EvaluateBatch(compiled, 0, poly_count, &scenario,
-                                        &out_ptr, 1);
-      if (!status.ok()) {
-        std::printf("JIT ERROR %s: %s\n", w.name.c_str(),
-                    status.ToString().c_str());
-        return false;
-      }
-      if (rep == 0 && !BitwiseEqual(naive_results[s], out)) {
-        std::printf("JIT MISMATCH in %s scenario %zu\n", w.name.c_str(), s);
-        all_equal = false;
-      }
-    }
-  }
-  const double seconds = timer.ElapsedSeconds() / kReps;
-
-  const JitBackend::Stats stats = jit.stats();
-  const bool native = stats.native_batches > 0 && stats.fallback_forced == 0 &&
-                      stats.fallback_no_exec_mem == 0 &&
-                      stats.fallback_emit_failed == 0;
-  const double ratio = seconds > 0 ? t_compiled / seconds : 0.0;
-  std::printf(
-      "JITSTAT workload=%s mode=%s emit_ms=%.3f seconds=%.6f ratio=%.2f\n",
-      w.name.c_str(), native ? "native" : "fallback", emit_ms, seconds,
-      ratio);
-  if (native) {
-    *floors_hold &=
-        RatioFloorHolds(("jit " + w.name).c_str(), ratio, kBackendFloor);
-  }
-  return all_equal;
-}
-
 /// Times every call in `calls` in nine rounds of one sample each, about
 /// 10 ms per sample, after one untimed probe of each call that sets its
 /// repetitions. A burst of host noise then lands in one round, where it
@@ -317,14 +217,165 @@ std::vector<std::vector<double>> InterleavedSamplesUs(
   return samples;
 }
 
-/// The median over rounds of f(round).
-template <typename F>
-double MedianOverRounds(const std::vector<std::vector<double>>& samples,
-                        F f) {
-  std::vector<double> values;
-  for (const std::vector<double>& round : samples) values.push_back(f(round));
+double Median(std::vector<double> values) {
   std::sort(values.begin(), values.end());
   return values[values.size() / 2];
+}
+
+/// The median over rounds of call `c`'s time, in µs.
+double MedianUs(const std::vector<std::vector<double>>& samples, size_t c) {
+  std::vector<double> values;
+  for (const std::vector<double>& round : samples) values.push_back(round[c]);
+  return Median(std::move(values));
+}
+
+/// The median over rounds of call `num`'s time over call `den`'s.
+double MedianRatio(const std::vector<std::vector<double>>& samples,
+                   size_t num, size_t den) {
+  std::vector<double> values;
+  for (const std::vector<double>& round : samples) {
+    values.push_back(round[den] > 0 ? round[num] / round[den] : 0.0);
+  }
+  return Median(std::move(values));
+}
+
+/// Runs the whole batch through `backend` in one call and bit-checks every
+/// scenario against the naive results; false (after printing why) on an
+/// error or a mismatch.
+bool RunAndCheck(const Workload& w, const EvaluationBackend& backend,
+                 const std::string& label,
+                 const CompiledPolynomialSet& compiled, DenseBatch& batch,
+                 const std::vector<std::vector<double>>& naive_results) {
+  const size_t n = batch.dense.size();
+  Status status = batch.Run(backend, compiled, 0, n);
+  if (!status.ok()) {
+    std::printf("BATCH ERROR %s/%s: %s\n", w.name.c_str(), label.c_str(),
+                status.ToString().c_str());
+    return false;
+  }
+  bool all_equal = true;
+  for (size_t s = 0; s < n; ++s) {
+    if (!BitwiseEqual(naive_results[s], batch.out[s])) {
+      std::printf("BATCH MISMATCH in %s backend=%s scenario %zu\n",
+                  w.name.c_str(), label.c_str(), s);
+      all_equal = false;
+    }
+  }
+  return all_equal;
+}
+
+/// The batched arm: the whole scenario batch through each registered
+/// backend in single EvaluateBatch calls, bit-checked against the naive
+/// results, then timed in interleaved rounds with `compiled_loop`, the
+/// single-scenario compiled loop over the same scenarios (the ratio's
+/// denominator).
+bool RunBatchedArm(const Workload& w,
+                   const CompiledPolynomialSet& compiled, DenseBatch& batch,
+                   const std::vector<std::vector<double>>& naive_results,
+                   const std::function<void()>& compiled_loop,
+                   bool* floors_hold) {
+  const size_t n = batch.dense.size();
+  const EvaluationBackendRegistry& registry =
+      EvaluationBackendRegistry::Default();
+  const std::vector<std::string> names = registry.Names();
+  // The bit-checked batch also emits the jit's code for this snapshot, so
+  // the timed rounds are the steady state; the jit and routing arms leave
+  // emission out of their timings too.
+  bool all_equal = true;
+  bool ok = true;
+  std::vector<std::function<void()>> calls = {compiled_loop};
+  for (const std::string& name : names) {
+    const EvaluationBackend* backend = registry.Find(name);
+    all_equal &= RunAndCheck(w, *backend, name, compiled, batch, naive_results);
+    calls.push_back(
+        [&, backend] { ok &= batch.Run(*backend, compiled, 0, n).ok(); });
+  }
+  const std::vector<std::vector<double>> samples = InterleavedSamplesUs(calls);
+  if (!ok) {
+    std::printf("BATCH ERROR %s\n", w.name.c_str());
+    return false;
+  }
+  for (size_t b = 0; b < names.size(); ++b) {
+    const double ratio = MedianRatio(samples, 0, b + 1);
+    std::printf(
+        "BATCHSTAT workload=%s backend=%s batch=%zu seconds=%.6f "
+        "ratio=%.2f\n",
+        w.name.c_str(), names[b].c_str(), n, MedianUs(samples, b + 1) * 1e-6,
+        ratio);
+    if (names[b] == "simd_batch") {
+      *floors_hold &= RatioFloorHolds(("simd_batch " + w.name).c_str(),
+                                      ratio, kBackendFloor);
+    }
+  }
+  return all_equal;
+}
+
+/// The jit arm: the single-scenario sweep through the "jit" backend, one
+/// batch-of-1 EvaluateBatch per scenario, bit-checked against naive, then
+/// timed in interleaved rounds with `compiled_loop`. A local backend
+/// instance exposes the native/fallback decision through its stats, and
+/// its private code cache makes the first batch a fresh emission even
+/// though the parallel arm already filled the process-wide cache for this
+/// artifact.
+bool RunJitArm(const Workload& w, const CompiledPolynomialSet& compiled,
+               const DenseBatch& batch,
+               const std::vector<std::vector<double>>& naive_results,
+               const std::function<void()>& compiled_loop,
+               bool* floors_hold) {
+  const size_t poly_count = compiled.poly_count();
+  const size_t n = batch.dense.size();
+  const std::vector<DenseValuation>& dense = batch.dense;
+  jit::JitCodeCache cache(jit::JitCodeCache::kDefaultByteBudget);
+  JitBackend jit(JitBackend::Mode::kAuto, &cache);
+  std::vector<double> out(poly_count);
+  auto run_one = [&](size_t s) {
+    const DenseValuation* scenario = &dense[s];
+    double* out_ptr = out.data();
+    return jit.EvaluateBatch(compiled, 0, poly_count, &scenario, &out_ptr, 1);
+  };
+
+  // The first batch pays the one-time emission (always a miss in the
+  // private cache); report it apart so the steady-state ratio reflects the
+  // amortized serving cost.
+  Timer emit_timer;
+  Status status = run_one(0);
+  const double emit_ms = emit_timer.ElapsedMillis();
+  bool all_equal = true;
+  for (size_t s = 0; s < n && status.ok(); ++s) {
+    status = run_one(s);
+    if (status.ok() && !BitwiseEqual(naive_results[s], out)) {
+      std::printf("JIT MISMATCH in %s scenario %zu\n", w.name.c_str(), s);
+      all_equal = false;
+    }
+  }
+  bool ok = status.ok();
+  const std::vector<std::vector<double>> samples =
+      ok ? InterleavedSamplesUs({compiled_loop,
+                                 [&] {
+                                   for (size_t s = 0; s < n; ++s) {
+                                     ok &= run_one(s).ok();
+                                   }
+                                 }})
+         : std::vector<std::vector<double>>{};
+  if (!ok) {
+    std::printf("JIT ERROR %s\n", w.name.c_str());
+    return false;
+  }
+
+  const JitBackend::Stats stats = jit.stats();
+  const bool native = stats.native_batches > 0 && stats.fallback_forced == 0 &&
+                      stats.fallback_no_exec_mem == 0 &&
+                      stats.fallback_emit_failed == 0;
+  const double ratio = MedianRatio(samples, 0, 1);
+  std::printf(
+      "JITSTAT workload=%s mode=%s emit_ms=%.3f seconds=%.6f ratio=%.2f\n",
+      w.name.c_str(), native ? "native" : "fallback", emit_ms,
+      MedianUs(samples, 1) * 1e-6, ratio);
+  if (native) {
+    *floors_hold &=
+        RatioFloorHolds(("jit " + w.name).c_str(), ratio, kBackendFloor);
+  }
+  return all_equal;
 }
 
 /// The routing arm: at width 1 and at the batched arm's width, every
@@ -362,16 +413,10 @@ bool RunRoutingArm(const Workload& w, const CompiledPolynomialSet& compiled,
         std::find(names.begin(), names.end(), (*chosen)->info().name) -
         names.begin();
     size_t best_at = 0;
-    std::vector<double> median_us;
     for (size_t b = 0; b < names.size(); ++b) {
-      median_us.push_back(MedianOverRounds(
-          samples, [b](const std::vector<double>& round) { return round[b]; }));
-      if (median_us[b] < median_us[best_at]) best_at = b;
+      if (MedianUs(samples, b) < MedianUs(samples, best_at)) best_at = b;
     }
-    const double ratio =
-        MedianOverRounds(samples, [&](const std::vector<double>& round) {
-          return round[auto_at] > 0 ? round[best_at] / round[auto_at] : 0.0;
-        });
+    const double ratio = MedianRatio(samples, best_at, auto_at);
     std::printf(
         "ROUTESTAT workload=%s batch=%zu auto=%s best=%s "
         "best_over_auto=%.2f\n",
@@ -400,20 +445,52 @@ bool RunLaneArm(const Workload& w, const CompiledPolynomialSet& compiled,
     std::printf("LANE ERROR %s\n", w.name.c_str());
     return false;
   }
-  auto column = [&](size_t c) {
-    return MedianOverRounds(
-        samples, [c](const std::vector<double>& round) { return round[c]; });
-  };
-  const double ratio =
-      MedianOverRounds(samples, [](const std::vector<double>& round) {
-        return round[0] > 0 ? round[1] / round[0] : 0.0;
-      });
+  const double ratio = MedianRatio(samples, 1, 0);
   std::printf(
       "LANESTAT workload=%s batch=%zu group=%zu wide_us=%.3f "
       "grouped_us=%.3f ratio=%.2f\n",
-      w.name.c_str(), n, group, column(0), column(1), ratio);
+      w.name.c_str(), n, group, MedianUs(samples, 0), MedianUs(samples, 1),
+      ratio);
   *floors_hold &=
       RatioFloorHolds(("lanes " + w.name).c_str(), ratio, kLaneFloor);
+  return true;
+}
+
+/// The lane-kind arm, where simd_batch runs AVX-512 lanes: the auto
+/// instance against one pinned to AVX2 lanes, one bit-checked call each on
+/// the same scenarios, then timed in interleaved rounds.
+bool RunLaneKindArm(const Workload& w, const CompiledPolynomialSet& compiled,
+                    DenseBatch& batch,
+                    const std::vector<std::vector<double>>& naive_results,
+                    bool* floors_hold) {
+  const SimdBatchBackend lanes(SimdBatchBackend::Mode::kAuto);
+  const SimdBatchBackend pinned(SimdBatchBackend::Mode::kForceAvx2);
+  if (lanes.lanes() != SimdLanes::kAvx512) return true;
+  const char* lanes_name = SimdLanesName(lanes.lanes());
+  const char* pinned_name = SimdLanesName(pinned.lanes());
+  if (!RunAndCheck(w, lanes, std::string("simd_batch(") + lanes_name + ")",
+                   compiled, batch, naive_results) ||
+      !RunAndCheck(w, pinned, std::string("simd_batch(") + pinned_name + ")",
+                   compiled, batch, naive_results)) {
+    return false;
+  }
+  const size_t n = batch.dense.size();
+  bool ok = true;
+  const std::vector<std::vector<double>> samples = InterleavedSamplesUs(
+      {[&] { ok &= batch.Run(lanes, compiled, 0, n).ok(); },
+       [&] { ok &= batch.Run(pinned, compiled, 0, n).ok(); }});
+  if (!ok) {
+    std::printf("KIND ERROR %s\n", w.name.c_str());
+    return false;
+  }
+  const double ratio = MedianRatio(samples, 1, 0);
+  std::printf(
+      "KINDSTAT workload=%s batch=%zu lanes=%s pinned=%s lanes_us=%.3f "
+      "pinned_us=%.3f ratio=%.2f\n",
+      w.name.c_str(), n, lanes_name, pinned_name, MedianUs(samples, 0),
+      MedianUs(samples, 1), ratio);
+  *floors_hold &=
+      RatioFloorHolds(("lane kind " + w.name).c_str(), ratio, kKindFloor);
   return true;
 }
 
@@ -424,7 +501,7 @@ bool Run() {
   std::printf("scenarios per workload: %d; pool threads: %zu\n", kScenarios,
               threads);
   std::printf("MACHINEKEY cpu=%s\n", CpuModel().c_str());
-  std::printf("SIMDLANES %s\n", SimdBatchAvx2Active() ? "avx2" : "scalar");
+  std::printf("SIMDLANES %s\n", SimdLanesName(SimdBatchLanes()));
   std::printf("%-16s %7s %10s %12s %11s %11s %11s %9s %9s\n", "workload",
               "polys", "monomials", "compile[ms]", "naive[s]", "compiled[s]",
               "parallel[s]", "speedup", "par-spdup");
@@ -480,16 +557,24 @@ bool Run() {
                 t_parallel > 0 ? t_naive / t_parallel : 0.0);
 
     DenseBatch batch(*compiled, scenarios);
-    if (!RunJitArm(w, *compiled, batch, naive_results, t_compiled,
+    // The denominator of the BATCHSTAT and JITSTAT ratios: the compiled
+    // column's loop, re-run inside each arm's interleaved rounds.
+    const std::function<void()> compiled_loop = [&] {
+      for (const Valuation& val : scenarios) {
+        compiled->EvaluateAll(compiled->MaterializeValuation(val));
+      }
+    };
+    if (!RunJitArm(w, *compiled, batch, naive_results, compiled_loop,
                    &floors_hold)) {
       all_equal = false;
     }
-    if (!RunBatchedArm(w, *compiled, batch, naive_results, t_compiled,
+    if (!RunBatchedArm(w, *compiled, batch, naive_results, compiled_loop,
                        &floors_hold)) {
       all_equal = false;
     }
     if (!RunRoutingArm(w, *compiled, batch, &floors_hold) ||
-        !RunLaneArm(w, *compiled, batch, &floors_hold)) {
+        !RunLaneArm(w, *compiled, batch, &floors_hold) ||
+        !RunLaneKindArm(w, *compiled, batch, naive_results, &floors_hold)) {
       all_equal = false;
     }
   }

@@ -125,32 +125,38 @@ class CompiledBackend : public EvaluationBackend {
 
 // ------------------------------------------------- builtin: simd_batch --
 
-/// Lanes per group: one AVX2 register of doubles. A pass evaluates up to
-/// kMaxGroups groups (8 scenarios) per walk of the CSR arrays, as
-/// independent accumulator chains: each multiplication of a chain waits on
-/// the one before it, but the two chains' multiplications overlap. The
-/// scalar fallback keeps the identical lane and group structure (and is
-/// compiled unconditionally), so a scalar-forced differential run still
-/// covers the vector path's transpose, group and tail logic.
-constexpr size_t kLaneWidth = 4;
-constexpr size_t kMaxGroups = 2;
+/// Lanes per group: one register of doubles, four in an AVX2 ymm and eight
+/// in an AVX-512 zmm. A pass evaluates two groups per walk of the CSR
+/// arrays, as independent accumulator chains: each multiplication of a
+/// chain waits on the one before it, but the two chains' multiplications
+/// overlap. The walk, not the arithmetic, is the kernel's cost, so wider
+/// registers serve more scenarios per walk: at widths 16-1,024 a 16-lane
+/// AVX-512 pass ran 1.9x faster per scenario than 8-lane AVX2 passes on
+/// the 20,952-monomial telephony set (CHANGES.md has the runs). The scalar
+/// fallback keeps the AVX2 lane and group structure (and is compiled
+/// unconditionally), so a scalar-forced differential run still covers the
+/// vector paths' transpose, pass and tail logic.
+constexpr size_t kAvx2Lanes = 4;
+constexpr size_t kAvx512Lanes = 8;
+constexpr size_t kPassGroups = 2;
 
-/// Evaluates polynomials [poly_begin, poly_end) for one pass of `kGroups`
-/// lane groups. `lanes` is the SoA transpose
-/// (lanes[slot * kGroups * kLaneWidth + j] = slot value of lane j);
-/// `outs[j]` receives lane j's values indexed from the range start; only
-/// the first `live` lanes are written (a partial pass pads with duplicated
-/// scenarios whose outputs are discarded).
+/// Evaluates polynomials [poly_begin, poly_end) for one pass of `kWidth`
+/// scalar lanes. `lanes` is the SoA transpose
+/// (lanes[slot * kWidth + j] = slot value of lane j); `outs[j]` receives
+/// lane j's values indexed from the range start; only the first `live`
+/// lanes are written (a partial pass pads with duplicated scenarios whose
+/// outputs are discarded).
 ///
 /// Per lane this performs exactly the canonical operation sequence —
 /// term = coefficient, term *= value (once per slot entry), total += term
-/// — so every lane is bitwise identical to the scalar paths. No FMA: mul
-/// and add stay separate operations in both implementations.
-template <size_t kGroups>
+/// — so every lane is bitwise identical to the scalar paths. No FMA: the
+/// build passes -ffp-contract=off, so the compiler never fuses a multiply
+/// and an add into one rounding, in the scalar and the vector kernels
+/// alike (target("avx512f") makes vfmadd available to the latter).
+template <size_t kWidth>
 void EvalLanesScalar(const CompiledPolynomialSet::CsrView& csr,
                      size_t poly_begin, size_t poly_end, const double* lanes,
                      double* const* outs, size_t live) {
-  constexpr size_t kWidth = kGroups * kLaneWidth;
   for (size_t p = poly_begin; p < poly_end; ++p) {
     double total[kWidth] = {};
     for (uint32_t m = csr.poly_offsets[p]; m < csr.poly_offsets[p + 1]; ++m) {
@@ -168,20 +174,20 @@ void EvalLanesScalar(const CompiledPolynomialSet::CsrView& csr,
 }
 
 #if defined(PROVABS_EVAL_X86) && defined(__GNUC__)
-#define PROVABS_EVAL_HAVE_AVX2 1
+#define PROVABS_EVAL_HAVE_SIMD 1
 
-/// AVX2 twin of EvalLanesScalar: one coefficient broadcast per monomial,
-/// and per slot entry one slot load feeding one vmulpd per group.
-/// Per-element IEEE-754 semantics of packed mul/add are identical to
-/// scalar mul/add (and intrinsics never contract into FMA), so the bits
-/// match the scalar paths exactly. Compiled with a function-level target
-/// attribute so the rest of the binary stays baseline-ISA; only reached
-/// after __builtin_cpu_supports("avx2") at runtime.
+/// AVX2 twin of EvalLanesScalar over `kGroups` 4-lane groups: one
+/// coefficient broadcast per monomial, and per slot entry one slot load
+/// feeding one vmulpd per group. Per-element IEEE-754 semantics of packed
+/// mul/add are identical to scalar mul/add, so the bits match the scalar
+/// paths exactly. Compiled with a function-level target attribute so the
+/// rest of the binary stays baseline-ISA; only reached after
+/// __builtin_cpu_supports("avx2") at runtime.
 template <size_t kGroups>
 __attribute__((target("avx2"))) void EvalLanesAvx2(
     const CompiledPolynomialSet::CsrView& csr, size_t poly_begin,
     size_t poly_end, const double* lanes, double* const* outs, size_t live) {
-  constexpr size_t kWidth = kGroups * kLaneWidth;
+  constexpr size_t kWidth = kGroups * kAvx2Lanes;
   for (size_t p = poly_begin; p < poly_end; ++p) {
     __m256d total[kGroups];
     for (size_t g = 0; g < kGroups; ++g) total[g] = _mm256_setzero_pd();
@@ -194,7 +200,7 @@ __attribute__((target("avx2"))) void EvalLanesAvx2(
         const double* v = lanes + size_t{csr.factor_slots[f]} * kWidth;
         for (size_t g = 0; g < kGroups; ++g) {
           term[g] = _mm256_mul_pd(term[g],
-                                  _mm256_loadu_pd(v + g * kLaneWidth));
+                                  _mm256_loadu_pd(v + g * kAvx2Lanes));
         }
       }
       for (size_t g = 0; g < kGroups; ++g) {
@@ -203,47 +209,101 @@ __attribute__((target("avx2"))) void EvalLanesAvx2(
     }
     double values[kWidth];
     for (size_t g = 0; g < kGroups; ++g) {
-      _mm256_storeu_pd(values + g * kLaneWidth, total[g]);
+      _mm256_storeu_pd(values + g * kAvx2Lanes, total[g]);
     }
     for (size_t j = 0; j < live; ++j) outs[j][p - poly_begin] = values[j];
   }
 }
-#endif  // PROVABS_EVAL_HAVE_AVX2
 
-/// One pass of `kGroups` lane groups on the AVX2 lanes when `avx2`, else
-/// on the scalar lanes.
-template <size_t kGroups>
-void EvalPass([[maybe_unused]] bool avx2,
+/// The 16-lane pass: EvalLanesAvx2's body over two 8-lane zmm groups.
+/// Only reached after __builtin_cpu_supports("avx512f"), which also
+/// checks that the OS saves ZMM state.
+__attribute__((target("avx512f"))) void EvalLanesAvx512(
+    const CompiledPolynomialSet::CsrView& csr, size_t poly_begin,
+    size_t poly_end, const double* lanes, double* const* outs, size_t live) {
+  constexpr size_t kWidth = kPassGroups * kAvx512Lanes;
+  for (size_t p = poly_begin; p < poly_end; ++p) {
+    __m512d total[kPassGroups];
+    for (size_t g = 0; g < kPassGroups; ++g) total[g] = _mm512_setzero_pd();
+    for (uint32_t m = csr.poly_offsets[p]; m < csr.poly_offsets[p + 1]; ++m) {
+      const __m512d c = _mm512_set1_pd(csr.coefficients[m]);
+      __m512d term[kPassGroups];
+      for (size_t g = 0; g < kPassGroups; ++g) term[g] = c;
+      for (uint32_t f = csr.mono_offsets[m]; f < csr.mono_offsets[m + 1];
+           ++f) {
+        const double* v = lanes + size_t{csr.factor_slots[f]} * kWidth;
+        for (size_t g = 0; g < kPassGroups; ++g) {
+          term[g] = _mm512_mul_pd(term[g],
+                                  _mm512_loadu_pd(v + g * kAvx512Lanes));
+        }
+      }
+      for (size_t g = 0; g < kPassGroups; ++g) {
+        total[g] = _mm512_add_pd(total[g], term[g]);
+      }
+    }
+    double values[kWidth];
+    for (size_t g = 0; g < kPassGroups; ++g) {
+      _mm512_storeu_pd(values + g * kAvx512Lanes, total[g]);
+    }
+    for (size_t j = 0; j < live; ++j) outs[j][p - poly_begin] = values[j];
+  }
+}
+#endif  // PROVABS_EVAL_HAVE_SIMD
+
+/// One pass of `kWidth` lanes: 16 run the AVX-512 kernel (only chosen
+/// with AVX-512 lanes), 8 and 4 the AVX2 kernel with two and one groups,
+/// or the scalar lanes when `kind` is scalar.
+template <size_t kWidth>
+void EvalPass([[maybe_unused]] SimdLanes kind,
               const CompiledPolynomialSet::CsrView& csr, size_t poly_begin,
               size_t poly_end, const double* lanes, double* const* outs,
               size_t live) {
-#if defined(PROVABS_EVAL_HAVE_AVX2)
-  if (avx2) {
-    EvalLanesAvx2<kGroups>(csr, poly_begin, poly_end, lanes, outs, live);
+#if defined(PROVABS_EVAL_HAVE_SIMD)
+  if constexpr (kWidth == kPassGroups * kAvx512Lanes) {
+    EvalLanesAvx512(csr, poly_begin, poly_end, lanes, outs, live);
+    return;
+  } else if (kind != SimdLanes::kScalar) {
+    EvalLanesAvx2<kWidth / kAvx2Lanes>(csr, poly_begin, poly_end, lanes,
+                                       outs, live);
     return;
   }
 #endif
-  EvalLanesScalar<kGroups>(csr, poly_begin, poly_end, lanes, outs, live);
+  EvalLanesScalar<kWidth>(csr, poly_begin, poly_end, lanes, outs, live);
 }
 
-bool CpuHasAvx2() {
-#if defined(PROVABS_EVAL_HAVE_AVX2)
-  static const bool has = __builtin_cpu_supports("avx2") != 0;
-  return has;
+SimdLanes CpuLanes() {
+#if defined(PROVABS_EVAL_HAVE_SIMD)
+  static const SimdLanes lanes =
+      __builtin_cpu_supports("avx2") == 0      ? SimdLanes::kScalar
+      : __builtin_cpu_supports("avx512f") == 0 ? SimdLanes::kAvx2
+                                               : SimdLanes::kAvx512;
+  return lanes;
 #else
-  return false;
+  return SimdLanes::kScalar;
 #endif
 }
 
 }  // namespace
 
-bool SimdBatchAvx2Active() {
+const char* SimdLanesName(SimdLanes lanes) {
+  switch (lanes) {
+    case SimdLanes::kAvx512:
+      return "avx512";
+    case SimdLanes::kAvx2:
+      return "avx2";
+    case SimdLanes::kScalar:
+      break;
+  }
+  return "scalar";
+}
+
+SimdLanes SimdBatchLanes() {
   const char* env = std::getenv("PROVABS_EVAL_FORCE_SCALAR");
   if (env != nullptr && env[0] != '\0' &&
       !(env[0] == '0' && env[1] == '\0')) {
-    return false;
+    return SimdLanes::kScalar;
   }
-  return CpuHasAvx2();
+  return CpuLanes();
 }
 
 const EvaluationBackendInfo& SimdBatchBackend::info() const {
@@ -251,18 +311,28 @@ const EvaluationBackendInfo& SimdBatchBackend::info() const {
   // four servebench views with AVX2 lanes, the jit wins at widths 1-2 on
   // every view and at 3 on the Q10 view, and from width 4 simd_batch beats
   // it on the three large views and ties it on the Q10 view (CHANGES.md
-  // has the table, AVX2 and scalar lanes).
+  // has the table, AVX2 and scalar lanes). AVX-512 lanes change only
+  // passes of more than eight scenarios.
   static const EvaluationBackendInfo kInfo{
       "simd_batch",
-      "structure-of-arrays scenario lanes over the CSR arrays "
-      "(AVX2 when available, scalar lanes otherwise)",
+      "structure-of-arrays scenario lanes over the CSR arrays: 16 "
+      "scenarios per walk with AVX-512, 8 with AVX2 and on tails of 8 or "
+      "fewer (scalar lanes without either)",
       /*vectorized=*/true, /*deterministic=*/true,
-      /*preferred_batch=*/kLaneWidth};
+      /*preferred_batch=*/kAvx2Lanes};
   return kInfo;
 }
 
-bool SimdBatchBackend::using_avx2() const {
-  return mode_ == Mode::kAuto && SimdBatchAvx2Active();
+SimdLanes SimdBatchBackend::lanes() const {
+  switch (mode_) {
+    case Mode::kAuto:
+      return SimdBatchLanes();
+    case Mode::kForceAvx2:
+      return std::min(SimdBatchLanes(), SimdLanes::kAvx2);
+    case Mode::kForceScalar:
+      break;
+  }
+  return SimdLanes::kScalar;
 }
 
 void SimdBatchBackend::DoEvaluateBatch(const CompiledPolynomialSet& compiled,
@@ -272,32 +342,42 @@ void SimdBatchBackend::DoEvaluateBatch(const CompiledPolynomialSet& compiled,
                                        size_t scenario_count) const {
   const CompiledPolynomialSet::CsrView csr = compiled.csr();
   const size_t slots = compiled.slot_count();
-  const bool avx2 = using_avx2();
-  // One SoA transpose buffer, refilled per pass: lanes[slot * width + j].
-  // A pass takes two groups while more than one group's scenarios remain,
-  // and a tail of one group or less takes a one-group pass. A partial pass
-  // duplicates its first scenario into the dead lanes (their outputs are
-  // discarded), so the kernels never branch on lane liveness in the inner
-  // loops.
-  constexpr size_t kMaxWidth = kMaxGroups * kLaneWidth;
-  std::vector<double> lanes(slots * kMaxWidth);
-  for (size_t g = 0; g < scenario_count; g += kMaxWidth) {
+  const SimdLanes kind = lanes();
+  // One SoA transpose buffer, refilled per pass: soa[slot * width + j]. A
+  // pass takes the narrowest width of 4, 8 and 16 (16 only with AVX-512
+  // lanes) that holds every scenario left, else the widest, so a tail of
+  // eight or fewer takes the AVX2-shaped passes. A partial pass duplicates
+  // its first scenario into the dead lanes (their outputs are discarded),
+  // so the kernels never branch on lane liveness in the inner loops.
+  const size_t max_width = kind == SimdLanes::kAvx512
+                               ? kPassGroups * kAvx512Lanes
+                               : kPassGroups * kAvx2Lanes;
+  std::vector<double> soa(slots * max_width);
+  for (size_t g = 0; g < scenario_count;) {
     const size_t left = scenario_count - g;
-    const size_t width = left > kLaneWidth ? kMaxWidth : kLaneWidth;
+    size_t width = kAvx2Lanes;
+    while (width < left && width < max_width) width *= 2;
     const size_t live = std::min(width, left);
     for (size_t j = 0; j < width; ++j) {
       const double* src = scenarios[g + (j < live ? j : 0)]->data();
       for (size_t slot = 0; slot < slots; ++slot) {
-        lanes[slot * width + j] = src[slot];
+        soa[slot * width + j] = src[slot];
       }
     }
-    if (width == kMaxWidth) {
-      EvalPass<kMaxGroups>(avx2, csr, poly_begin, poly_end, lanes.data(),
-                           outs + g, live);
-    } else {
-      EvalPass<1>(avx2, csr, poly_begin, poly_end, lanes.data(), outs + g,
-                  live);
+    switch (width) {
+      case kPassGroups * kAvx512Lanes:
+        EvalPass<kPassGroups * kAvx512Lanes>(kind, csr, poly_begin, poly_end,
+                                             soa.data(), outs + g, live);
+        break;
+      case kPassGroups * kAvx2Lanes:
+        EvalPass<kPassGroups * kAvx2Lanes>(kind, csr, poly_begin, poly_end,
+                                           soa.data(), outs + g, live);
+        break;
+      default:
+        EvalPass<kAvx2Lanes>(kind, csr, poly_begin, poly_end, soa.data(),
+                             outs + g, live);
     }
+    g += width;
   }
 }
 
@@ -369,8 +449,9 @@ StatusOr<const EvaluationBackend*> EvaluationBackendRegistry::ResolveForBatch(
       simd != nullptr && batch_size >= simd->info().preferred_batch;
   // Scalar lanes trail the jit on sets under kScalarLaneMinMonomials, so
   // there the jit serves and counts wide calls too.
-  if (wide && (snapshot == nullptr || SimdBatchAvx2Active() ||
-               snapshot->monomial_count() >= kScalarLaneMinMonomials)) {
+  if (wide &&
+      (snapshot == nullptr || SimdBatchLanes() != SimdLanes::kScalar ||
+       snapshot->monomial_count() >= kScalarLaneMinMonomials)) {
     return simd;
   }
   const EvaluationBackend* jit = available("jit");

@@ -43,8 +43,8 @@ class Valuation;
 /// 1.05-1.6x on the sets of 126 and 151 monomials, and scalar lanes beat
 /// the jit by 1.2-1.3x on the set of 536 and won on the set of 1,188; the
 /// constant sits between the two sides (CHANGES.md has the runs). AVX2
-/// lanes came within 0.87x of the jit on every set, so they take every
-/// wide call.
+/// lanes came within 0.87x of the jit on every set, so vector lanes (AVX2
+/// or AVX-512) take every wide call.
 inline constexpr uint64_t kScalarLaneMinMonomials = 256;
 
 /// Capability record advertised by an evaluation backend, served over the
@@ -118,10 +118,12 @@ class EvaluationBackend {
 ///   compiled   — PR 5's CSR kernel (flat-array walks), one scenario at a
 ///                time; the single-scenario baseline
 ///   simd_batch — transposes the batch into structure-of-arrays lanes and
-///                walks the CSR arrays once per 8 scenarios, as two
-///                independent 4-lane accumulator chains; AVX2 when the CPU
-///                has it (runtime-detected), with a portable scalar-lane
-///                fallback compiled unconditionally
+///                walks the CSR arrays once per pass, as two independent
+///                accumulator chains: 16 scenarios as two 8-lane chains
+///                with AVX-512, 8 as two 4-lane chains with AVX2 (and for
+///                any tail of 8 or fewer); the lane kind is runtime-
+///                detected, with a portable scalar-lane fallback of the
+///                AVX2 shape compiled unconditionally
 ///   jit        — emits one straight-line native function per polynomial
 ///                of the compiled artifact (jit/jit_backend.h), cached by
 ///                compiled-form fingerprint; degrades to the compiled
@@ -157,7 +159,7 @@ class EvaluationBackendRegistry {
   ///   - a wide call, at least simd_batch's preferred_batch (one lane
   ///     group, 4 scenarios), runs simd_batch, except on a `snapshot`
   ///     under kScalarLaneMinMonomials monomials while the lanes are
-  ///     scalar (SimdBatchAvx2Active() false);
+  ///     scalar (SimdBatchLanes() is SimdLanes::kScalar);
   ///   - a narrower call, and a wide call under that exception, runs the
   ///     jit when it is Available() and, given a `snapshot`, once that
   ///     snapshot has served the jit's break_even_scenarios in such calls;
@@ -196,27 +198,36 @@ class EvaluationBackendRegistry {
 /// same contents.
 Status RegisterBuiltinEvaluationBackends(EvaluationBackendRegistry& registry);
 
-/// True when the running CPU supports AVX2 and the PROVABS_EVAL_FORCE_SCALAR
-/// environment variable is unset/0 — the condition under which the
-/// registered "simd_batch" backend takes its vector path. Exposed so tests
-/// and CI can tell which lane implementation the differential actually
-/// covered (a scalar-forced job still gates the vector path's lane logic,
+/// The lane implementations simd_batch can run, narrowest first.
+enum class SimdLanes { kScalar, kAvx2, kAvx512 };
+
+/// "scalar", "avx2" or "avx512".
+const char* SimdLanesName(SimdLanes lanes);
+
+/// The lanes the registered "simd_batch" backend runs: kAvx512 when the
+/// CPU has AVX-512F and AVX2 and the OS saves ZMM state, else kAvx2 when
+/// it has AVX2, else kScalar; kScalar on every host while the
+/// PROVABS_EVAL_FORCE_SCALAR environment variable is set and not 0.
+/// Exposed so routing, tests and CI can tell which lane implementation
+/// ran (a scalar-forced job still gates the vector paths' lane logic,
 /// which the fallback shares).
-bool SimdBatchAvx2Active();
+SimdLanes SimdBatchLanes();
 
 /// The SIMD-batched backend, constructible directly so the differential
 /// battery can pin each lane implementation regardless of the host CPU:
-/// kForceScalar always takes the portable scalar-lane path; kAuto follows
-/// SimdBatchAvx2Active(). Registered in Default() as "simd_batch" (kAuto).
+/// kAuto runs SimdBatchLanes(); kForceAvx2 runs AVX2 lanes where that is
+/// AVX-512 or AVX2 (so the AVX2 kernel stays covered on AVX-512 hosts) and
+/// scalar lanes where it is scalar; kForceScalar always runs the portable
+/// scalar lanes. Registered in Default() as "simd_batch" (kAuto).
 class SimdBatchBackend : public EvaluationBackend {
  public:
-  enum class Mode { kAuto, kForceScalar };
+  enum class Mode { kAuto, kForceAvx2, kForceScalar };
   explicit SimdBatchBackend(Mode mode = Mode::kAuto) : mode_(mode) {}
 
   const EvaluationBackendInfo& info() const override;
 
-  /// True when this instance will execute AVX2 lanes.
-  bool using_avx2() const;
+  /// The lane implementation this instance runs.
+  SimdLanes lanes() const;
 
  protected:
   void DoEvaluateBatch(const CompiledPolynomialSet& compiled,

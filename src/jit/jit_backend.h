@@ -24,7 +24,7 @@ bool JitForceDisabled();
 bool JitNativeActive();
 
 /// Scenarios a compiled snapshot serves in the auto-routed calls the jit
-/// would take (with AVX2 lanes, those narrower than one simd_batch lane
+/// would take (with vector lanes, those narrower than one simd_batch lane
 /// group) before auto-routing sends them to the jit (EvaluationBackendInfo::
 /// break_even_scenarios). Emission is a one-time cost per snapshot, and
 /// every width-1 scenario the jit then serves saves the compiled kernel's

@@ -24,8 +24,8 @@ namespace provabs {
 /// So each call resolves its backend through the evaluation-backend
 /// registry (core/evaluation_backend.h) with its own width and compiled
 /// snapshot, and runs ONE EvaluateBatch over the whole set on the caller's
-/// thread. Routing is by width: with AVX2 lanes a call of one lane group or
-/// more runs simd_batch, and a narrower auto-routed call reaches the jit
+/// thread. Routing is by width: with vector lanes a call of one lane group
+/// or more runs simd_batch, and a narrower auto-routed call reaches the jit
 /// only once its snapshot has served the break-even number of them.
 ///
 /// Only a call whose work, scenarios × monomials, exceeds the split
@@ -40,11 +40,14 @@ class EvaluateBatcher {
  public:
   /// Scenarios × monomials above which a call is split across the pool.
   /// In bench_parallel_scaling's direct-against-split table (4-vCPU VM,
-  /// five runs, wide calls on simd_batch) a 4-way split loses at 20,952
-  /// (the running example at width 1), where its hand-offs cost more than
-  /// they save, goes either way at 45,520 and 182,080 (a Q10 view at
-  /// widths 16 and 64), and wins in every run from 335,232 (the running
-  /// example at width 16) up.
+  /// five runs, wide calls on simd_batch's AVX-512 lanes) a 4-way split
+  /// loses in every run at 2,845 and 45,520 (a Q10 view at widths 1 and
+  /// 16), where its hand-offs cost more than they save, goes either way at
+  /// 20,952 and 335,232 (the running example at widths 1 and 16) and at
+  /// 182,080-2,913,280 (the Q10 view at widths 64-1,024), and wins in every
+  /// run from 1,340,928 (the running example at width 64) up. Whether it
+  /// pays also depends on where the scheduler places the pool threads, so
+  /// the constant stays where the AVX2 table put it.
   static constexpr uint64_t kSplitWork = 65536;
 
   /// `registry` selects evaluation backends (Default() when null); tests

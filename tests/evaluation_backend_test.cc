@@ -1,10 +1,11 @@
 // Cross-backend differential battery for the evaluation-backend registry
 // (core/evaluation_backend.h). Naive per-polynomial Valuation::Evaluate is
 // the reference defining the canonical summation order; every registered
-// backend — naive, compiled, simd_batch with scalar lanes forced,
-// simd_batch with AVX2 lanes when the host has them, the jit with its
-// compiled-kernel fallback forced, and the jit's emitted native code where
-// executable memory is usable — must reproduce it
+// backend — naive, compiled, simd_batch with each lane kind the host
+// supports (scalar lanes forced, AVX2 lanes pinned, and the AVX-512 lanes
+// auto picks where the host has them), the jit with its compiled-kernel
+// fallback forced, and the jit's emitted native code where executable
+// memory is usable — must reproduce it
 // BITWISE (IEEE-754 bit comparison, never tolerance): floating-point
 // add/mul are not associative, so exact equality certifies the identical
 // operation sequence. Coverage: exponents > 1, unassigned variables
@@ -102,9 +103,10 @@ void RunBackendDifferential(const EvaluationBackend& backend,
 }
 
 /// Every backend instance the battery pins: the four registered built-ins
-/// plus forced variants — a scalar-lane simd_batch (so the lane/transpose/
-/// remainder logic is covered even when the host would auto-pick AVX2) and
-/// a fallback-forced jit (so the compiled-kernel degradation path is
+/// plus forced variants — one simd_batch per mode, so each lane kind the
+/// host supports runs (scalar lanes forced, AVX2 lanes pinned even where
+/// the host would auto-pick AVX-512, and the auto lanes), and a
+/// fallback-forced jit (so the compiled-kernel degradation path is
 /// covered even where emitted code runs natively; the registered jit
 /// instance covers the native path whenever the host permits it and CI's
 /// NOJIT-forced run covers the env-knob route through the same fallback).
@@ -116,13 +118,20 @@ void RunAllBackendsDifferential(const PolynomialSet& polys,
     RunBackendDifferential(*registry.Find(name), polys, scenarios,
                            "registered '" + name + "'");
   }
-  SimdBatchBackend scalar(SimdBatchBackend::Mode::kForceScalar);
-  EXPECT_FALSE(scalar.using_avx2());
-  RunBackendDifferential(scalar, polys, scenarios, "simd_batch(scalar)");
-  SimdBatchBackend auto_lanes(SimdBatchBackend::Mode::kAuto);
-  RunBackendDifferential(
-      auto_lanes, polys, scenarios,
-      auto_lanes.using_avx2() ? "simd_batch(avx2)" : "simd_batch(auto)");
+  for (SimdBatchBackend::Mode mode : {SimdBatchBackend::Mode::kForceScalar,
+                                      SimdBatchBackend::Mode::kForceAvx2,
+                                      SimdBatchBackend::Mode::kAuto}) {
+    SimdBatchBackend simd(mode);
+    RunBackendDifferential(
+        simd, polys, scenarios,
+        std::string("simd_batch(") + SimdLanesName(simd.lanes()) + ")");
+  }
+  EXPECT_EQ(SimdBatchBackend(SimdBatchBackend::Mode::kForceScalar).lanes(),
+            SimdLanes::kScalar);
+  EXPECT_NE(SimdBatchBackend(SimdBatchBackend::Mode::kForceAvx2).lanes(),
+            SimdLanes::kAvx512);
+  EXPECT_EQ(SimdBatchBackend(SimdBatchBackend::Mode::kAuto).lanes(),
+            SimdBatchLanes());
   JitBackend jit_fallback(JitBackend::Mode::kForceFallback);
   EXPECT_FALSE(jit_fallback.Available());
   RunBackendDifferential(jit_fallback, polys, scenarios, "jit(fallback)");
@@ -354,10 +363,10 @@ TEST(EvaluationBackendRegistryTest, SnapshotRoutesToJitOnlyPastBreakEven) {
             kJitBreakEvenScenarios + (jit_active ? 0 : 1));
 
   // Past the break-even, wide calls on this three-monomial set run
-  // simd_batch and leave the count alone with AVX2 lanes. Scalar lanes
+  // simd_batch and leave the count alone with vector lanes. Scalar lanes
   // route them like narrow ones: to an active jit, else to simd_batch,
   // counted.
-  const bool small_set_jit = !SimdBatchAvx2Active();
+  const bool small_set_jit = SimdBatchLanes() == SimdLanes::kScalar;
   const uint64_t served = narrow->interpreted_scenarios();
   uint64_t wide_total = 0;
   for (size_t batch : kWideWidths) {
@@ -578,10 +587,10 @@ TEST_P(BackendDifferentialTest, AllBackendsBitwiseIdenticalToNaive) {
   }
   PolynomialSet polys = MakeRandomSet(rng, ids);
 
-  // Ragged batch sizes straddling the SIMD lane width (4) and the
-  // eight-scenario pass: two-group passes, one-group tails, partial lane
-  // groups, single scenarios.
-  const size_t batch = 1 + rng.Uniform(11);
+  // Ragged batch sizes straddling the SIMD lane width (4), the
+  // eight-scenario pass and the 16-scenario AVX-512 pass: full and partial
+  // passes, two- and one-group tails, single scenarios.
+  const size_t batch = 1 + rng.Uniform(19);
   std::vector<Valuation> scenarios;
   for (size_t s = 0; s < batch; ++s) {
     Valuation val;
@@ -612,11 +621,12 @@ TEST_P(BackendDifferentialTest, AllBackendsBitwiseIdenticalToNaive) {
 INSTANTIATE_TEST_SUITE_P(RandomSets, BackendDifferentialTest,
                          ::testing::Range(0, 24));
 
-// A deterministic width sweep: widths 1-17 and 1,023-1,025 cover every
-// live-lane count of simd_batch's eight-scenario pass (5-8) and of its
-// one-group tail (1-4), after zero, one and many full passes. Every pinned
-// backend instance runs each width on one set whose factors have exponents
-// 1-4, so the kernels walk runs of repeated slot entries.
+// A deterministic width sweep: widths 1-33 and 1,023-1,025 cover every
+// live-lane count of simd_batch's 16-scenario AVX-512 pass (9-16), of its
+// eight-scenario pass (5-8, the AVX2 pass and the two-group tail) and of
+// its one-group tail (1-4), after zero, one, two and many full passes.
+// Every pinned backend instance runs each width on one set whose factors
+// have exponents 1-4, so the kernels walk runs of repeated slot entries.
 TEST(BackendWidthSweepTest, EveryLaneCountStaysBitwiseIdenticalToNaive) {
   Rng rng(6300);
   VariableTable vars;
@@ -642,7 +652,7 @@ TEST(BackendWidthSweepTest, EveryLaneCountStaysBitwiseIdenticalToNaive) {
   }
 
   std::vector<size_t> widths = {1023, 1024, 1025};
-  for (size_t width = 1; width <= 17; ++width) widths.push_back(width);
+  for (size_t width = 1; width <= 33; ++width) widths.push_back(width);
   for (size_t width : widths) {
     std::vector<Valuation> scenarios(width);
     for (Valuation& val : scenarios) {

@@ -378,11 +378,13 @@ void RunProgramDifferential(const PolynomialSet& polys,
   for (const std::string& name : registry.Names()) {
     check(*registry.Find(name), "registered '" + name + "'");
   }
-  SimdBatchBackend scalar(SimdBatchBackend::Mode::kForceScalar);
-  check(scalar, "simd_batch(scalar)");
-  SimdBatchBackend auto_lanes(SimdBatchBackend::Mode::kAuto);
-  check(auto_lanes,
-        auto_lanes.using_avx2() ? "simd_batch(avx2)" : "simd_batch(auto)");
+  for (SimdBatchBackend::Mode mode : {SimdBatchBackend::Mode::kForceScalar,
+                                      SimdBatchBackend::Mode::kForceAvx2,
+                                      SimdBatchBackend::Mode::kAuto}) {
+    SimdBatchBackend simd(mode);
+    check(simd,
+          std::string("simd_batch(") + SimdLanesName(simd.lanes()) + ")");
+  }
 }
 
 // The telephony-flavored program used by the random battery: a discount
