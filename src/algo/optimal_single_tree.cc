@@ -628,7 +628,7 @@ StatusOr<std::shared_ptr<const RetainedDpState>> PatchDpState(
   if (!delta.complete || delta.from_revision != st.revision ||
       delta.to_revision != polys.revision()) {
     return fail(RecompressFallback::kDeltaIncomplete,
-                "delta log does not cover the retained revision span");
+                "delta does not span the retained revision to the current one");
   }
   if (st.tree_index >= forest.tree_count()) {
     return fail(RecompressFallback::kShapeChanged,

@@ -133,7 +133,7 @@ StatusOr<CompressionResult> OptimalSingleTree(
 enum class RecompressFallback {
   kNone = 0,          ///< Patched successfully.
   kNoState,           ///< prev carries no (or incompatible) retained tables.
-  kDeltaIncomplete,   ///< Delta log truncated or revisions don't line up.
+  kDeltaIncomplete,   ///< Delta revisions don't line up with the state.
   kShapeChanged,      ///< Forest/tree shape differs from the retained run.
   kHeadroomExhausted, ///< New k exceeds the retained bucket clamp.
   /// Never reported: where an append lands never blocks a patch. Stays

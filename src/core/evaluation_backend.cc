@@ -5,8 +5,6 @@
 #include <utility>
 
 #include "common/macros.h"
-#include "core/polynomial_set.h"
-#include "core/valuation.h"
 #include "jit/jit_backend.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -504,38 +502,6 @@ Status RegisterBuiltinEvaluationBackends(
   s = registry.Register(std::make_unique<SimdBatchBackend>());
   if (!s.ok()) return s;
   return registry.Register(MakeJitBackend());
-}
-
-// ------------------------------------------------- convenience ----------
-
-StatusOr<std::vector<std::vector<double>>> EvaluateScenarios(
-    const PolynomialSet& polys, const std::vector<Valuation>& scenarios,
-    const std::string& backend_name,
-    const EvaluationBackendRegistry* registry) {
-  const EvaluationBackendRegistry& reg =
-      registry != nullptr ? *registry : EvaluationBackendRegistry::Default();
-  StatusOr<const EvaluationBackend*> backend =
-      reg.ResolveForBatch(backend_name, scenarios.size());
-  if (!backend.ok()) return backend.status();
-
-  std::shared_ptr<const CompiledPolynomialSet> compiled = polys.Compiled();
-  const size_t n = scenarios.size();
-  std::vector<std::vector<double>> out(
-      n, std::vector<double>(compiled->poly_count()));
-  std::vector<DenseValuation> dense;
-  dense.reserve(n);
-  std::vector<const DenseValuation*> dense_ptrs(n);
-  std::vector<double*> out_ptrs(n);
-  for (size_t s = 0; s < n; ++s) {
-    dense.push_back(compiled->MaterializeValuation(scenarios[s]));
-    dense_ptrs[s] = &dense[s];
-    out_ptrs[s] = out[s].data();
-  }
-  Status status =
-      (*backend)->EvaluateBatch(*compiled, 0, compiled->poly_count(),
-                                dense_ptrs.data(), out_ptrs.data(), n);
-  if (!status.ok()) return status;
-  return out;
 }
 
 }  // namespace provabs

@@ -14,9 +14,6 @@
 
 namespace provabs {
 
-class PolynomialSet;
-class Valuation;
-
 /// The unified scenario-evaluation API. PR 5's compiled kernel made a
 /// single scenario fast; the serving workload is MANY scenarios against one
 /// resident artifact (the Fig. 10 interaction repeated per analyst), and the
@@ -239,17 +236,6 @@ class SimdBatchBackend : public EvaluationBackend {
  private:
   Mode mode_;
 };
-
-/// Convenience entry point for multi-scenario evaluation: compiles (cached
-/// on the set), materializes every scenario, and routes the whole batch
-/// through `ResolveForBatch(backend_name, scenarios.size())` against
-/// `registry` (Default() when null). Returns one value vector per scenario,
-/// each bitwise identical to Valuation::Evaluate per polynomial. Unknown
-/// backend names fail listing the registered set.
-StatusOr<std::vector<std::vector<double>>> EvaluateScenarios(
-    const PolynomialSet& polys, const std::vector<Valuation>& scenarios,
-    const std::string& backend_name = "",
-    const EvaluationBackendRegistry* registry = nullptr);
 
 }  // namespace provabs
 

@@ -12,8 +12,7 @@ PolynomialSet::PolynomialSet(const PolynomialSet& other)
     : polys_(other.polys_),
       compiled_(std::atomic_load_explicit(&other.compiled_,
                                           std::memory_order_acquire)),
-      revision_(other.revision_),
-      delta_log_(other.delta_log_) {}
+      revision_(other.revision_) {}
 
 PolynomialSet& PolynomialSet::operator=(const PolynomialSet& other) {
   if (this == &other) return *this;
@@ -23,7 +22,6 @@ PolynomialSet& PolynomialSet::operator=(const PolynomialSet& other) {
       std::atomic_load_explicit(&other.compiled_, std::memory_order_acquire),
       std::memory_order_release);
   revision_ = other.revision_;
-  delta_log_ = other.delta_log_;
   return *this;
 }
 
@@ -31,15 +29,13 @@ PolynomialSet::PolynomialSet(PolynomialSet&& other) noexcept
     : polys_(std::move(other.polys_)),
       compiled_(std::atomic_load_explicit(&other.compiled_,
                                           std::memory_order_acquire)),
-      revision_(other.revision_),
-      delta_log_(std::move(other.delta_log_)) {
+      revision_(other.revision_) {
   // The moved-from set's polynomials are gone; a retained compiled cache
   // would describe contents it no longer has.
   std::atomic_store_explicit(&other.compiled_,
                              std::shared_ptr<const CompiledPolynomialSet>(),
                              std::memory_order_release);
   other.revision_ = 0;
-  other.delta_log_.clear();
 }
 
 PolynomialSet& PolynomialSet::operator=(PolynomialSet&& other) noexcept {
@@ -53,25 +49,8 @@ PolynomialSet& PolynomialSet::operator=(PolynomialSet&& other) noexcept {
                              std::shared_ptr<const CompiledPolynomialSet>(),
                              std::memory_order_release);
   revision_ = other.revision_;
-  delta_log_ = std::move(other.delta_log_);
   other.revision_ = 0;
-  other.delta_log_.clear();
   return *this;
-}
-
-void PolynomialSet::Add(Polynomial p) {
-  DeltaLogEntry entry;
-  entry.revision = ++revision_;
-  entry.poly_index = static_cast<uint32_t>(polys_.size());
-  entry.monomials = static_cast<uint32_t>(p.SizeM());
-  std::unordered_set<VariableId> vars;
-  p.CollectVariables(vars);
-  entry.vars.assign(vars.begin(), vars.end());
-  if (delta_log_.size() == kDeltaLogCapacity) {
-    delta_log_.erase(delta_log_.begin());
-  }
-  delta_log_.push_back(std::move(entry));
-  polys_.push_back(std::move(p));
 }
 
 PolynomialSetDelta PolynomialSet::DeltaSince(uint64_t from_revision) const {
@@ -80,27 +59,17 @@ PolynomialSetDelta PolynomialSet::DeltaSince(uint64_t from_revision) const {
   delta.to_revision = revision_;
   delta.first_added_index = polys_.size();
   if (from_revision > revision_) return delta;  // Incoherent observer.
-  if (from_revision == revision_) {
-    delta.complete = true;
-    return delta;
+  delta.first_added_index =
+      polys_.size() - static_cast<size_t>(revision_ - from_revision);
+  std::vector<VariableId>& touched = delta.touched_vars;
+  for (size_t i = delta.first_added_index; i < polys_.size(); ++i) {
+    delta.added_monomials += polys_[i].SizeM();
+    for (const Monomial& m : polys_[i].monomials()) {
+      for (const Factor& f : m.factors()) touched.push_back(f.var);
+    }
   }
-  // The log holds the last kDeltaLogCapacity appends; revisions in
-  // (from, to] must all still be present. The oldest retained revision is
-  // delta_log_.front().revision, so the log reaches back to
-  // front().revision - 1.
-  if (delta_log_.empty() || delta_log_.front().revision > from_revision + 1) {
-    return delta;  // Truncated: complete stays false.
-  }
-  std::unordered_set<VariableId> touched;
-  for (const DeltaLogEntry& entry : delta_log_) {
-    if (entry.revision <= from_revision) continue;
-    delta.first_added_index =
-        std::min(delta.first_added_index, size_t{entry.poly_index});
-    delta.added_monomials += entry.monomials;
-    touched.insert(entry.vars.begin(), entry.vars.end());
-  }
-  delta.touched_vars.assign(touched.begin(), touched.end());
-  std::sort(delta.touched_vars.begin(), delta.touched_vars.end());
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
   delta.complete = true;
   return delta;
 }
@@ -145,8 +114,8 @@ PolynomialSet PolynomialSet::MapVariables(
   PolynomialSet result;
   result.polys_.reserve(polys_.size());
   for (const Polynomial& p : polys_) {
-    // Direct push, not Add: the mapped set is a fresh baseline (revision 0,
-    // empty delta log), not a sequence of appends to an empty set.
+    // Direct push, not Add: the mapped set is a fresh baseline (revision 0),
+    // not a sequence of appends to an empty set.
     result.polys_.push_back(p.MapVariables(map, combine));
   }
   return result;

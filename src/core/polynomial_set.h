@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/polynomial.h"
@@ -13,12 +14,12 @@ namespace provabs {
 
 class CompiledPolynomialSet;
 
-/// Everything appended to a PolynomialSet after some observed revision, as
-/// reconstructed from the bounded delta log. Downstream caches pair a
-/// retained result with the revision it was computed at and ask for the
-/// delta to decide between patching and full recomputation; `complete`
-/// false means the log no longer reaches back that far (too many appends)
-/// and the only sound answer is a full recompute.
+/// Everything appended to a PolynomialSet after some observed revision.
+/// Downstream caches pair a retained result with the revision it was
+/// computed at and ask for the delta to decide between patching and full
+/// recomputation; `complete` false means the observed revision is ahead of
+/// the set's (it was reset since), and the only sound answer is a full
+/// recompute.
 struct PolynomialSetDelta {
   uint64_t from_revision = 0;
   uint64_t to_revision = 0;
@@ -31,8 +32,8 @@ struct PolynomialSetDelta {
   /// Downstream code intersects this with abstraction-tree leaf sets to
   /// find the touched trees.
   std::vector<VariableId> touched_vars;
-  /// True iff the log covered every revision in (from, to]; when false all
-  /// other fields are meaningless.
+  /// False when `from_revision` is ahead of the set's revision; all other
+  /// fields are then meaningless.
   bool complete = false;
 
   bool empty() const { return complete && from_revision == to_revision; }
@@ -59,25 +60,26 @@ class PolynomialSet {
   PolynomialSet(PolynomialSet&& other) noexcept;
   PolynomialSet& operator=(PolynomialSet&& other) noexcept;
 
-  /// Appends one polynomial (one more output tuple's annotation). Bumps
-  /// the revision and records the append in the bounded delta log. A
-  /// compiled evaluation form now covers a prefix of the set; the next
-  /// `Compiled()` extends it instead of recompiling.
-  void Add(Polynomial p);
+  /// Appends one polynomial (one more output tuple's annotation) and bumps
+  /// the revision. A compiled evaluation form now covers a prefix of the
+  /// set; the next `Compiled()` extends it instead of recompiling.
+  void Add(Polynomial p) {
+    polys_.push_back(std::move(p));
+    ++revision_;
+  }
 
   /// Monotone mutation counter: 0 for a freshly constructed set (including
   /// the vector constructor — the initial contents ARE revision 0), +1 per
   /// Add. Copies carry the revision; a moved-from set resets to empty.
   uint64_t revision() const { return revision_; }
 
-  /// Reconstructs everything appended after `from_revision` from the delta
-  /// log. The log keeps the last kDeltaLogCapacity appends; asking further
-  /// back returns `complete == false`, the caller's signal to recompute
+  /// Everything appended after `from_revision`. Add is the only mutation
+  /// that keeps the revision, and it appends exactly one polynomial, so
+  /// the appends are the last revision() − from_revision polynomials: a
+  /// delta never runs out of history. Asking from a revision ahead of the
+  /// set's returns `complete == false`, the caller's signal to recompute
   /// from scratch instead of patching.
   PolynomialSetDelta DeltaSince(uint64_t from_revision) const;
-
-  /// Delta-log depth: how many appends back DeltaSince can reach.
-  static constexpr size_t kDeltaLogCapacity = 128;
 
   const std::vector<Polynomial>& polynomials() const { return polys_; }
   /// Number of polynomials (query output tuples), NOT monomials — see
@@ -111,23 +113,14 @@ class PolynomialSet {
   std::shared_ptr<const CompiledPolynomialSet> Compiled() const;
 
  private:
-  /// One Add in the delta log.
-  struct DeltaLogEntry {
-    uint64_t revision;            ///< revision_ after this Add.
-    uint32_t poly_index;          ///< Index of the appended polynomial.
-    uint32_t monomials;           ///< Its monomial count.
-    std::vector<VariableId> vars; ///< Its variable set (unsorted).
-  };
-
   std::vector<Polynomial> polys_;
   /// Lazily compiled evaluation form of polys_ or, after Adds, of a prefix
   /// of it; accessed only through the std::atomic_* shared_ptr free
   /// functions (C++17's pre-atomic<shared_ptr> idiom) so readers never see
   /// a torn pointer.
   mutable std::shared_ptr<const CompiledPolynomialSet> compiled_;
+  /// Never above polys_.size(): each revision is one appended polynomial.
   uint64_t revision_ = 0;
-  /// Ring of the last kDeltaLogCapacity appends, oldest first.
-  std::vector<DeltaLogEntry> delta_log_;
 };
 
 }  // namespace provabs

@@ -69,7 +69,7 @@ struct OnlineResult {
   /// The decision sample itself, retained as the warm state AppendOnline
   /// patches against: `abstraction.dp_state` (when the optimal DP ran) is
   /// fingerprinted to this set's revision, so appends can be re-derived
-  /// through the delta log instead of a full re-run.
+  /// through the set's delta instead of a full re-run.
   PolynomialSet decision_sample;
   size_t sample_size_m = 0;          ///< |P_sample|_M at the last rate.
   size_t estimated_full_size_m = 0;  ///< Extrapolated |P_full|_M.
@@ -108,8 +108,8 @@ struct OnlineAppendInfo {
 /// re-running the pipeline. The new polynomials are appended to the
 /// retained decision sample and the cut is re-derived through the
 /// delta-aware OptimalRecompress — a full algorithm re-run happens only
-/// when patching is declined (no retained DP state, delta log truncated,
-/// append crossing the chosen cut, ...; see OnlineAppendInfo::fallback).
+/// when patching is declined (no retained DP state, bucket headroom
+/// exhausted, ...; see OnlineAppendInfo::fallback).
 /// The new annotations are then grouped through the cut in force and
 /// appended to `result->compressed`; rows emitted earlier keep the
 /// grouping under which they were produced (the online model never

@@ -52,8 +52,8 @@ struct Op {
 /// A scenario program compiled against one CompiledPolynomialSet: parse +
 /// type check + selector resolution done once, after which the scenario
 /// family expands lazily in chunks of fingerprint-stamped DenseValuations
-/// ready for EvaluateScenarios, or for EvaluateBatcher::EvaluateDense,
-/// which evaluates each chunk as one batch of its full width.
+/// ready for EvaluateBatcher::EvaluateDense, which evaluates each chunk as
+/// one batch of its full width.
 ///
 /// Expansion semantics: the scenario space is the Cartesian product of the
 /// LET parameter domains in declaration order, the LAST parameter varying

@@ -213,8 +213,8 @@ StatusOr<std::shared_ptr<const Artifact>> ArtifactStore::Append(
   }
   auto added = DeserializePolynomialSet(polys_bytes, *artifact->vars);
   if (!added.ok()) return added.status();
-  // The copy carries the revision, the delta log and the compiled snapshot,
-  // which the Adds leave as a prefix for the byte estimate below to grow.
+  // The copy carries the revision and the compiled snapshot, which the
+  // Adds leave as a prefix for the byte estimate below to grow.
   artifact->polys = existing->polys;
   for (const Polynomial& p : added->polynomials()) {
     artifact->polys.Add(p);

@@ -56,9 +56,10 @@ struct Artifact {
     uint64_t revision = 0;
   };
   /// Patchable predecessors, oldest first (recorded by Append; empty after
-  /// a full (re)load, which severs the chain). Bounded by kMaxAncestry —
-  /// the PolynomialSet delta log is itself bounded, so deep chains would
-  /// mostly resolve to "delta incomplete" anyway.
+  /// a full (re)load, which severs the chain). Bounded by kMaxAncestry:
+  /// every compress walks the chain looking for a cached ancestor, every
+  /// publish drops the chain's entries, and an ancestor further back would
+  /// hand its patch a longer delta to fold in.
   std::vector<Ancestor> ancestry;
   static constexpr size_t kMaxAncestry = 8;
 
@@ -122,7 +123,7 @@ class ArtifactStore {
 
   /// Appends the polynomials of a serialized PolynomialSet buffer to the
   /// loaded artifact `name`, producing (and installing) a NEW immutable
-  /// Artifact at a bumped generation whose delta log and ancestry record
+  /// Artifact at a bumped generation whose revision and ancestry record
   /// the update — so a later compression of the new generation can patch a
   /// cached predecessor's DP state instead of re-running (see
   /// ProvenanceService::CompressInternal). The previous Artifact object is

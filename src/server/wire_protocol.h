@@ -280,9 +280,9 @@ struct ServerStats {
   /// Incremental-update path (cumulative): compress requests answered by
   /// patching a cached predecessor-generation DP state against the
   /// artifact's delta chain, and requests that found a usable predecessor
-  /// but had to fall back to the full algorithm (frontier crossed, budget
-  /// headroom exhausted, delta log truncated, ...). Requests with no
-  /// cached predecessor at all count in neither.
+  /// but had to fall back to the full algorithm (budget headroom
+  /// exhausted, tree shape changed, ...). Requests with no cached
+  /// predecessor at all count in neither.
   uint64_t delta_patched = 0;
   uint64_t delta_fallback_full = 0;
 };

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <limits.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 namespace provabs {
 namespace {
@@ -52,6 +56,23 @@ class CliTest : public ::testing::Test {
     return std::system(cmd.c_str());
   }
 
+  /// Runs the CLI from inside the test directory, so commands name their
+  /// files as docs/CLI.md does (p.bin, not a path), and captures stdout
+  /// and stderr together.
+  int RunIn(const std::string& args, std::string* output) {
+    char binary[PATH_MAX];
+    if (::realpath(Binary().c_str(), binary) == nullptr) return -1;
+    const std::string out_path = dir_ + "/cli_out.txt";
+    int rc = std::system(("cd " + dir_ + " && " + binary + " " + args +
+                          " > " + out_path + " 2>&1")
+                             .c_str());
+    std::ifstream in(out_path);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    *output = buffer.str();
+    return rc;
+  }
+
   /// Extracts the process exit code from a std::system wait status.
   static int ExitCode(int status) {
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
@@ -73,6 +94,71 @@ TEST_F(CliTest, FullProducerAnalystRoundTrip) {
                 "/f.bin"),
             0);
   EXPECT_EQ(Run("evaluate --in " + dir_ + "/c.bin --set m1=0.8"), 0);
+}
+
+/// The "polynomial i: value" answers of an evaluate run, in order.
+std::vector<double> Answers(const std::string& output) {
+  std::vector<double> answers;
+  std::istringstream lines(output);
+  std::string line;
+  while (std::getline(lines, line)) {
+    size_t index = 0;
+    double value = 0;
+    if (std::sscanf(line.c_str(), "polynomial %zu: %lf", &index, &value) ==
+        2) {
+      EXPECT_EQ(index, answers.size()) << line;
+      answers.push_back(value);
+    }
+  }
+  return answers;
+}
+
+/// docs/CLI.md's worked example as written, asserting the lines the doc
+/// shows. March (m3) is untouched by the plan-tree abstraction, so the
+/// scenario is group-uniform and the compressed artifact must answer it as
+/// the original does (the paper's exactness guarantee, end to end through
+/// the files).
+TEST_F(CliTest, WorkedExamplePrintsWhatTheDocShows) {
+  std::string out;
+  ASSERT_EQ(RunIn("generate --workload telephony --scale 0.05 --out p.bin "
+                  "--forest-out f.bin",
+                  &out),
+            0)
+      << out;
+  ASSERT_EQ(RunIn("info --in p.bin", &out), 0) << out;
+  EXPECT_NE(out.find("polynomials : 100"), std::string::npos) << out;
+  EXPECT_NE(out.find("(|P|_M)"), std::string::npos) << out;
+  ASSERT_EQ(RunIn("tradeoff --in p.bin --forest f.bin", &out), 0) << out;
+  EXPECT_NE(out.find(" size |P'|_M  variable loss"), std::string::npos)
+      << out;
+  ASSERT_EQ(RunIn("compress --in p.bin --forest f.bin --bound 1500 "
+                  "--algo opt --out c.bin --vvs-out v.bin",
+                  &out),
+            0)
+      << out;
+  EXPECT_NE(out.find("ML="), std::string::npos) << out;
+  EXPECT_NE(out.find("VVS: {T_root}"), std::string::npos) << out;
+  EXPECT_NE(out.find("wrote c.bin"), std::string::npos) << out;
+
+  ASSERT_EQ(RunIn("evaluate --in p.bin --set m3=0.8", &out), 0) << out;
+  const std::vector<double> original = Answers(out);
+  ASSERT_EQ(RunIn("evaluate --in c.bin --set m3=0.8", &out), 0) << out;
+  const std::vector<double> compressed = Answers(out);
+  ASSERT_EQ(original.size(), 100u) << out;
+  ASSERT_EQ(compressed.size(), original.size()) << out;
+  for (size_t i = 0; i < original.size(); ++i) {
+    EXPECT_LE(std::fabs(compressed[i] - original[i]),
+              1e-9 * std::fabs(original[i]))
+        << "polynomial " << i;
+  }
+
+  ASSERT_EQ(RunIn("scenario --in p.bin --expr 'LET d = GRID(0.5, 1); "
+                  "SET PREFIX(plan) = d; SET * = 1;' --shape argmax",
+                  &out),
+            0)
+      << out;
+  EXPECT_NE(out.find("objective"), std::string::npos) << out;
+  EXPECT_NE(out.find("  d = "), std::string::npos) << out;
 }
 
 TEST_F(CliTest, GreedyAlgoSelectable) {
@@ -147,6 +233,22 @@ TEST_F(CliTest, UnknownAlgoIsUsageError) {
             2);
   EXPECT_EQ(ExitCode(Run("remote-evaluate --port 1 --name a --bound 5 "
                          "--algo quantum")),
+            2);
+}
+
+TEST_F(CliTest, MalformedFlagValuesExit2BeforeAnyIo) {
+  // Every file and port named here is absent or closed: only a check made
+  // before opening either reports the bad value as a usage error.
+  EXPECT_EQ(ExitCode(Run("compress --in nope.bin --forest nope.bin "
+                         "--bound x")),
+            2);
+  EXPECT_EQ(ExitCode(Run("compress --in nope.bin --forest nope.bin "
+                         "--bound 5 --budget-ms 0")),
+            2);
+  EXPECT_EQ(ExitCode(Run("evaluate --in nope.bin --set m1")), 2);
+  EXPECT_EQ(ExitCode(Run("remote-info --port 1 --timeout-ms abc")), 2);
+  EXPECT_EQ(ExitCode(Run("remote-load --port 1 --name a --in nope.bin "
+                         "--timeout-ms abc")),
             2);
 }
 

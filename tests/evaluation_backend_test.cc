@@ -208,17 +208,23 @@ TEST(EvaluationBackendRegistryTest, DuplicateNamesAreRejected) {
 }
 
 TEST(EvaluationBackendRegistryTest, UnknownNameListsTheRegisteredSet) {
-  auto resolved = EvaluationBackendRegistry::Default().Resolve("turbo");
-  ASSERT_FALSE(resolved.ok());
-  EXPECT_EQ(resolved.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(resolved.status().message().find(
-                "unknown evaluation backend 'turbo'"),
-            std::string::npos)
-      << resolved.status().message();
-  EXPECT_NE(
-      resolved.status().message().find("compiled, jit, naive, simd_batch"),
-      std::string::npos)
-      << resolved.status().message();
+  const EvaluationBackendRegistry& registry =
+      EvaluationBackendRegistry::Default();
+  // Resolve, and ResolveForBatch at any width, fail alike.
+  for (const auto& resolved :
+       {registry.Resolve("turbo"), registry.ResolveForBatch("turbo", 1),
+        registry.ResolveForBatch("turbo", 64)}) {
+    ASSERT_FALSE(resolved.ok());
+    EXPECT_EQ(resolved.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(resolved.status().message().find(
+                  "unknown evaluation backend 'turbo'"),
+              std::string::npos)
+        << resolved.status().message();
+    EXPECT_NE(
+        resolved.status().message().find("compiled, jit, naive, simd_batch"),
+        std::string::npos)
+        << resolved.status().message();
+  }
 }
 
 /// The widths the routing tests probe: narrow (below one lane group) and
@@ -604,18 +610,6 @@ TEST_P(BackendDifferentialTest, AllBackendsBitwiseIdenticalToNaive) {
   }
 
   RunAllBackendsDifferential(polys, scenarios);
-
-  // The convenience entry point agrees too, under both auto and explicit
-  // routing.
-  for (const std::string& name : {std::string(), std::string("simd_batch")}) {
-    auto results = EvaluateScenarios(polys, scenarios, name);
-    ASSERT_TRUE(results.ok()) << results.status().ToString();
-    ASSERT_EQ(results->size(), scenarios.size());
-    for (size_t s = 0; s < scenarios.size(); ++s) {
-      ExpectBitwiseEqual(NaiveEvaluateAll(scenarios[s], polys), (*results)[s],
-                         "EvaluateScenarios('" + name + "')");
-    }
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSets, BackendDifferentialTest,
@@ -663,15 +657,6 @@ TEST(BackendWidthSweepTest, EveryLaneCountStaysBitwiseIdenticalToNaive) {
     SCOPED_TRACE("width " + std::to_string(width));
     RunAllBackendsDifferential(polys, scenarios);
   }
-}
-
-TEST(EvaluateScenariosTest, UnknownBackendFailsListingRegistered) {
-  PolynomialSet polys;
-  auto results = EvaluateScenarios(polys, {Valuation{}}, "turbo");
-  ASSERT_FALSE(results.ok());
-  EXPECT_NE(
-      results.status().message().find("compiled, jit, naive, simd_batch"),
-      std::string::npos);
 }
 
 // Post-abstraction coverage: backends must agree with naive on sets

@@ -3,7 +3,7 @@
 // be FIELD-EQUAL to a cold full DP over the grown set — same loss, same
 // adequacy, same chosen cut — and the compressed sets the two results
 // produce must serialize BYTE-identically. Where the patch is declined
-// (delta log truncated, headroom exhausted, ...) the full DP is
+// (headroom exhausted, tree shape changed, ...) the full DP is
 // authoritative and the differential is trivially satisfied; the
 // deterministic tests below pin down that the accept and decline paths are
 // both actually exercised, including appends below a chosen internal node,
@@ -654,9 +654,12 @@ TEST(IncrementalDeterministicTest, CrossingAddTakesThePatchPath) {
   EXPECT_TRUE(patched) << "an append below the cut must take the patch path";
 }
 
-/// Exhausting the delta log must decline with kDeltaIncomplete instead of
-/// patching against a hole.
-TEST(IncrementalDeterministicTest, TruncatedDeltaLogDeclines) {
+/// A delta never runs out of history: after 132 appends, one DP state
+/// still patches to exactly the cold run over the grown set. A delta that
+/// does not start at the state's revision, or starts beyond the set's,
+/// declines with kDeltaIncomplete instead of patching against the wrong
+/// polynomials.
+TEST(IncrementalDeterministicTest, LongAppendChainPatchesOnlyFromItsRevision) {
   VariableTable vars;
   std::vector<VariableId> leaves;
   for (int i = 0; i < 4; ++i) {
@@ -675,17 +678,25 @@ TEST(IncrementalDeterministicTest, TruncatedDeltaLogDeclines) {
   ASSERT_NE(base->dp_state, nullptr);
 
   uint64_t rev = polys.revision();
-  for (size_t i = 0; i < PolynomialSet::kDeltaLogCapacity + 4; ++i) {
+  for (size_t i = 0; i < 132; ++i) {
     polys.Add(Polynomial::FromMonomials(
         {Monomial(1.0, {{leaves[i % 4], 1}})}));
   }
-  PolynomialSetDelta delta = polys.DeltaSince(rev);
-  EXPECT_FALSE(delta.complete);
-  RecompressFallback fallback = RecompressFallback::kNone;
-  auto patched = OptimalRecompress(polys, forest, *base, delta,
-                                   polys.SizeM(), &fallback);
-  EXPECT_FALSE(patched.ok());
-  EXPECT_EQ(fallback, RecompressFallback::kDeltaIncomplete);
+  EXPECT_TRUE(polys.DeltaSince(rev).complete);
+  bool patched = false;
+  RecompressAndCompare(polys, forest, vars, *base, rev, polys.SizeM(),
+                       &patched);
+  EXPECT_TRUE(patched) << "a long append chain must still take the patch path";
+
+  EXPECT_FALSE(polys.DeltaSince(polys.revision() + 1).complete);
+  for (const PolynomialSetDelta& delta :
+       {polys.DeltaSince(rev + 1), polys.DeltaSince(polys.revision() + 1)}) {
+    RecompressFallback fallback = RecompressFallback::kNone;
+    auto declined = OptimalRecompress(polys, forest, *base, delta,
+                                      polys.SizeM(), &fallback);
+    EXPECT_FALSE(declined.ok());
+    EXPECT_EQ(fallback, RecompressFallback::kDeltaIncomplete);
+  }
 }
 
 }  // namespace
